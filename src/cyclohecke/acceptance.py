@@ -423,7 +423,7 @@ def criterion_cross_oracles(level="full", seed=0):
     from .seminormal import SeminormalData, check_semisimple
     rng = random.Random(seed)
     checks = []
-    # characters via tau versus regular trace
+    # seminormal-matrix characters versus the tau formula and the regular trace
     for r, n in [(2, 2), (1, 3)]:
         ctx = _spec_ctx(r, n)
         snd = SeminormalData(ctx)
@@ -433,11 +433,13 @@ def criterion_cross_oracles(level="full", seed=0):
         idxs = list(ctx.basis_indices())
         samples += [ctx.from_index(rng.choice(idxs)) for _ in range(3)]
         ok = all(
-            snd.character(shape, h) == snd.character_via_regular_trace(shape, h)
+            snd.character(shape, h) == snd.character_via_tau(shape, h)
+            == snd.character_via_regular_trace(shape, h)
             for shape in snd.shapes for h in samples
         )
         checks.append(Check(
-            f"({r},{n}) characters: tau formula = regular trace", ok))
+            f"({r},{n}) characters: seminormal matrices = tau formula "
+            f"= regular trace", ok))
     # symbolic class polynomials specialize correctly
     ctx_sym = _fraction_ctx(2, 2)
     polys_sym = ClassPolynomials(ctx_sym, seminormal=SeminormalData(ctx_sym))

@@ -14,8 +14,9 @@ representatives have minimal length in their classes, and their images
 T_{w_C} span the cocenter; the class polynomials f_{w,C} express any T_w in
 terms of them modulo [H, H].  They are computed by the character-matrix
 method: chi_lambda(T_w) = sum_C f_{w,C} chi_lambda(T_{w_C}) with the square
-character matrix inverted once per context, and every result is certified
-by a membership check of the residual in [H, H].
+character matrix factored once per context (its Gauss-Jordan row operations
+are recorded and replayed on each right-hand side), and every result is
+certified by a membership check of the residual in [H, H].
 
 The dual-basis constructions follow: T_w^vee is the tau-dual basis of
 {T_w}, y_C = sum_w f_{w,C} T_w^vee and z_C = sum_w g_{w,C} b_w with
@@ -35,7 +36,7 @@ from .group import (
     w_alpha,
 )
 from .hecke import HeckeElement, t_element
-from .linalg import SubspaceBasis, invert_matrix, nullspace, solve
+from .linalg import Elimination, SubspaceBasis, invert_matrix, nullspace
 from .seminormal import SeminormalData
 from .tableaux import enumerate_multipartitions
 
@@ -149,34 +150,44 @@ class ClassPolynomials:
         self._beta_hat = {}
         for info in self.classes:
             self._beta_hat[conjugacy_invariant(info.rep.inverse())] = info.label
+        # the elements the f ("rep") and g ("hat") rows are expanded over
+        self._targets = {
+            "rep": self._rep_elements,
+            "hat": {info.label: self._rep_elements[self._beta_hat[info.label]]
+                    for info in self.classes},
+        }
         self._matrix_rows = None
+        self._eliminations = {}
         self._commutators = None
-        self._char_cache = {}
 
     # -- characters ---------------------------------------------------------
-
-    def _char(self, shape, elt, key=None):
-        if key is not None and (shape, key) in self._char_cache:
-            return self._char_cache[(shape, key)]
-        val = self.snd.character(shape, elt)
-        if key is not None:
-            self._char_cache[(shape, key)] = val
-        return val
 
     def character_matrix(self):
         """Rows: shapes; columns: class labels; entries chi_lambda(T_{w_C})."""
         if self._matrix_rows is None:
             self._matrix_rows = [
                 {
-                    info.label: self._char(shape, self._rep_elements[info.label],
-                                           ("rep", info.label))
+                    info.label: self.snd.character(
+                        shape, self._rep_elements[info.label])
                     for info in self.classes
                 }
                 for shape in self.shapes
             ]
-            # solvability is asserted by the first solve; a singular matrix
-            # would contradict the cocenter basis theorem
         return self._matrix_rows
+
+    def _elimination(self, kind):
+        """The character matrix over the "rep" or "hat" targets, factored
+        once; a singular matrix would contradict the cocenter basis theorem
+        and raises ArithmeticError."""
+        elim = self._eliminations.get(kind)
+        if elim is None:
+            rows = self.character_matrix()
+            if kind == "hat":
+                rows = [{info.label: row[self._beta_hat[info.label]]
+                         for info in self.classes} for row in rows]
+            elim = Elimination(self.ctx.ring, rows)
+            self._eliminations[kind] = elim
+        return elim
 
     def commutator_basis(self):
         if self._commutators is None:
@@ -185,21 +196,30 @@ class ClassPolynomials:
 
     # -- f and g -------------------------------------------------------------
 
+    def _coefficients(self, kind, elt, check_residual):
+        ring = self.ctx.ring
+        rhs = [self.snd.character(shape, elt) for shape in self.shapes]
+        sol = self._elimination(kind).solve(rhs)
+        coeffs = {info.label: sol.get(info.label, ring.zero())
+                  for info in self.classes}
+        if check_residual and not self.residual_in_commutators(kind, elt, coeffs):
+            raise AssertionError(("class-polynomial" if kind == "rep" else
+                                  "dual class-polynomial")
+                                 + " residual escaped [H, H]")
+        return coeffs
+
+    def residual_in_commutators(self, kind, elt, coeffs):
+        """elt - sum_C coeffs[C] T lies in [H, H], T running over the "rep"
+        (f rows) or "hat" (g rows) targets."""
+        residual = elt
+        for info in self.classes:
+            residual = residual - self._targets[kind][info.label].scale(
+                coeffs[info.label])
+        return self.commutator_basis().contains(residual.terms)
+
     def f_for_element(self, elt, check_residual=True):
         """Coefficients f with elt = sum_C f_C T_{w_C} modulo [H, H]."""
-        rows = self.character_matrix()
-        rhs = [self._char(shape, elt) for shape in self.shapes]
-        sol = solve(self.ctx.ring, rows, rhs)
-        coeffs = {info.label: sol.get(info.label, self.ctx.ring.zero())
-                  for info in self.classes}
-        if check_residual:
-            residual = elt
-            for info in self.classes:
-                residual = residual - self._rep_elements[info.label].scale(
-                    coeffs[info.label])
-            if not self.commutator_basis().contains(residual.terms):
-                raise AssertionError("class-polynomial residual escaped [H, H]")
-        return coeffs
+        return self._coefficients("rep", elt, check_residual)
 
     def f_polys(self, w, check_residual=True):
         return self.f_for_element(t_element(self.ctx, w), check_residual)
@@ -208,31 +228,8 @@ class ClassPolynomials:
         """Coefficients with (T_{w^{-1}})^vee = sum_C g_{w,C} b_{w_C}^vee
         modulo [H, H], where b_{w_C}^vee = T_{w_{beta_C}} for the class
         containing w_{beta_C}^{-1}."""
-        ctx = self.ctx
-        rows = [
-            {
-                info.label: self._char(
-                    shape,
-                    self._rep_elements[self._beta_hat[info.label]],
-                    ("hat", info.label),
-                )
-                for info in self.classes
-            }
-            for shape in self.shapes
-        ]
-        target = t_element(ctx, w.inverse())
-        rhs = [self._char(shape, target) for shape in self.shapes]
-        sol = solve(ctx.ring, rows, rhs)
-        coeffs = {info.label: sol.get(info.label, ctx.ring.zero())
-                  for info in self.classes}
-        if check_residual:
-            residual = target
-            for info in self.classes:
-                residual = residual - self._rep_elements[
-                    self._beta_hat[info.label]].scale(coeffs[info.label])
-            if not self.commutator_basis().contains(residual.terms):
-                raise AssertionError("dual class-polynomial residual escaped [H, H]")
-        return coeffs
+        return self._coefficients("hat", t_element(self.ctx, w.inverse()),
+                                  check_residual)
 
     def cp_representative(self, label):
         """The Chavli-Pfeiffer representative w_C = w_{beta_hat(C)}^{-1}."""
@@ -368,18 +365,18 @@ def representative_dependence_report(ctx, polys, budget=50_000):
         alt = alts.get(info.label)
         alt_elements[info.label] = t_element(ctx, alt) if alt is not None \
             else polys._rep_elements[info.label]
-    rows = [
+    elim = Elimination(ctx.ring, [
         {info.label: polys.snd.character(shape, alt_elements[info.label])
          for info in polys.classes}
         for shape in polys.shapes
-    ]
+    ])
     diffs = []
     order = sorted(enumerate_group(ctx_params, budget),
                    key=lambda w: (length(w), w.colors, w.perm))
     for w in order:
         elt = t_element(ctx, w)
         rhs = [polys.snd.character(shape, elt) for shape in polys.shapes]
-        sol = solve(ctx.ring, rows, rhs)
+        sol = elim.solve(rhs)
         base = polys.f_polys(w, check_residual=False)
         for info in polys.classes:
             a = base[info.label]

@@ -79,6 +79,9 @@ class AlgebraContext:
         self._rmul = {}
         self._lmul = {}
         self._commute = {}
+        # terms dicts, not HeckeElements: an element refers back to its
+        # context, and that cycle would keep a dropped context alive until
+        # the next full garbage collection
         self._t_cache = {}
         self._jm_cache = {}
 
@@ -136,8 +139,8 @@ class AlgebraContext:
                 elt = self.from_index((c, perm_identity(self.params.n)))
             else:
                 elt = _lmul_jm(self, m, self.one())
-            self._jm_cache[m] = elt
-        return self._jm_cache[m]
+            self._jm_cache[m] = elt.terms
+        return HeckeElement(self, self._jm_cache[m])
 
     def jm_all(self):
         return [self.jm(m) for m in range(1, self.params.n + 1)]
@@ -457,9 +460,9 @@ def t_element(ctx, w):
     key = (w.colors, w.perm)
     cached = ctx._t_cache.get(key)
     if cached is None:
-        cached = word_product(ctx, bm_word(w))
+        cached = word_product(ctx, bm_word(w)).terms
         ctx._t_cache[key] = cached
-    return cached
+    return HeckeElement(ctx, cached)
 
 
 def t_perm(ctx, perm):

@@ -31,14 +31,7 @@ class SubspaceBasis:
                 coeff = vec.get(col)
                 if coeff is None or self.ring.is_zero(coeff):
                     continue
-                row = self.rows[col]
-                for c2, v2 in row.items():
-                    cur = vec.get(c2, self.ring.zero())
-                    new = cur - coeff * v2
-                    if self.ring.is_zero(new):
-                        vec.pop(c2, None)
-                    else:
-                        vec[c2] = new
+                _subtract_multiple(self.ring, vec, coeff, self.rows[col])
 
     def reduce(self, vec):
         """Remainder of vec against the current basis."""
@@ -64,13 +57,7 @@ class SubspaceBasis:
             coeff = row2.get(pivot)
             if coeff is None or self.ring.is_zero(coeff):
                 continue
-            for c, v in row.items():
-                cur = row2.get(c, self.ring.zero())
-                new = cur - coeff * v
-                if self.ring.is_zero(new):
-                    row2.pop(c, None)
-                else:
-                    row2[c] = new
+            _subtract_multiple(self.ring, row2, coeff, row)
 
     def vectors(self):
         return [dict(r) for _, r in sorted(self.rows.items())]
@@ -95,13 +82,7 @@ def nullspace(ring, rows, columns):
             coeff = row.get(col)
             if coeff is None or ring.is_zero(coeff):
                 continue
-            for c, v in prow.items():
-                cur = row.get(c, ring.zero())
-                new = cur - coeff * v
-                if ring.is_zero(new):
-                    row.pop(c, None)
-                else:
-                    row[c] = new
+            _subtract_multiple(ring, row, coeff, prow)
         row = {c: v for c, v in row.items() if not ring.is_zero(v)}
         if not row:
             continue
@@ -112,13 +93,7 @@ def nullspace(ring, rows, columns):
             coeff = prow2.get(piv)
             if coeff is None or ring.is_zero(coeff):
                 continue
-            for c, v in row.items():
-                cur = prow2.get(c, ring.zero())
-                new = cur - coeff * v
-                if ring.is_zero(new):
-                    prow2.pop(c, None)
-                else:
-                    prow2[c] = new
+            _subtract_multiple(ring, prow2, coeff, row)
         pivots[piv] = row
     free = [c for c in columns if c not in pivots]
     sols = []
@@ -132,6 +107,16 @@ def nullspace(ring, rows, columns):
     return sols
 
 
+def _subtract_multiple(ring, row, coeff, prow):
+    """row -= coeff * prow, in place, dropping entries that vanish."""
+    for c, v in prow.items():
+        new = row.get(c, ring.zero()) - coeff * v
+        if ring.is_zero(new):
+            row.pop(c, None)
+        else:
+            row[c] = new
+
+
 def _size(coeff):
     terms = getattr(coeff, "terms", None)
     if terms is not None:
@@ -142,56 +127,69 @@ def _size(coeff):
     return 1
 
 
+class Elimination:
+    """Gauss-Jordan elimination of a matrix, recorded once so that each
+    right-hand side costs only a replay of the row operations.
+
+    The matrix is a list of sparse rows over column labels; rows may
+    outnumber columns.  Raises ArithmeticError when the columns are
+    dependent.
+    """
+
+    def __init__(self, ring, matrix):
+        self.ring = ring
+        self.ops = []         # (target, source, coeff): b[t] -= coeff b[s];
+                              # (target, None, inv): b[t] *= inv
+        self.pivots = {}      # pivot column -> row number
+        self.dependent = []   # rows eliminated to zero
+        reduced = {}          # pivot column -> reduced row
+        for i, row in enumerate(matrix):
+            row = dict(row)
+            for col, prow in reduced.items():
+                coeff = row.get(col)
+                if coeff is None or ring.is_zero(coeff):
+                    continue
+                _subtract_multiple(ring, row, coeff, prow)
+                self.ops.append((i, self.pivots[col], coeff))
+            live = [c for c in row if not ring.is_zero(row[c])]
+            if not live:
+                self.dependent.append(i)
+                continue
+            piv = min(live, key=lambda c: (_size(row[c]), c))
+            inv = ring.invert(row[piv])
+            row = {c: v * inv for c, v in row.items()}
+            self.ops.append((i, None, inv))
+            for col2, prow2 in reduced.items():
+                coeff = prow2.get(piv)
+                if coeff is None or ring.is_zero(coeff):
+                    continue
+                _subtract_multiple(ring, prow2, coeff, row)
+                self.ops.append((self.pivots[col2], i, coeff))
+            reduced[piv] = row
+            self.pivots[piv] = i
+        if len(self.pivots) < len({c for row in matrix for c in row}):
+            raise ArithmeticError("singular linear system")
+
+    def solve(self, rhs):
+        """{column: value} with matrix * x = rhs; raises ArithmeticError
+        when rhs lies outside the column space."""
+        ring = self.ring
+        b = list(rhs)
+        for target, source, coeff in self.ops:
+            if source is None:
+                if not ring.is_zero(b[target]):
+                    b[target] = b[target] * coeff
+            elif not ring.is_zero(b[source]):
+                b[target] = b[target] - coeff * b[source]
+        if any(not ring.is_zero(b[i]) for i in self.dependent):
+            raise ArithmeticError("inconsistent linear system")
+        return {col: b[i] for col, i in self.pivots.items()}
+
+
 def solve(ring, matrix, rhs):
-    """Solve matrix * x = rhs for a square dict-of-dicts matrix with keys
-    (row, col) given as nested dicts; raises on a singular system."""
-    # matrix: list of rows (dicts over col); rhs: list of ring values
-    n = len(matrix)
-    aug = []
-    for i, row in enumerate(matrix):
-        r = dict(row)
-        r[("rhs",)] = rhs[i]
-        aug.append(r)
-    pivots = {}
-    cols = sorted({c for row in matrix for c in row})
-    for row in aug:
-        for col, prow in pivots.items():
-            coeff = row.get(col)
-            if coeff is None or ring.is_zero(coeff):
-                continue
-            for c, v in prow.items():
-                cur = row.get(c, ring.zero())
-                new = cur - coeff * v
-                if ring.is_zero(new):
-                    row.pop(c, None)
-                else:
-                    row[c] = new
-        live = [c for c in row if c != ("rhs",) and not ring.is_zero(row[c])]
-        if not live:
-            if ("rhs",) in row and not ring.is_zero(row[("rhs",)]):
-                raise ArithmeticError("inconsistent linear system")
-            continue
-        piv = min(live, key=lambda c: (_size(row[c]), c))
-        inv = ring.invert(row[piv])
-        row = {c: v * inv for c, v in row.items()}
-        for prow2 in pivots.values():
-            coeff = prow2.get(piv)
-            if coeff is None or ring.is_zero(coeff):
-                continue
-            for c, v in row.items():
-                cur = prow2.get(c, ring.zero())
-                new = cur - coeff * v
-                if ring.is_zero(new):
-                    prow2.pop(c, None)
-                else:
-                    prow2[c] = new
-        pivots[piv] = row
-    if len(pivots) < len(cols):
-        raise ArithmeticError("singular linear system")
-    out = {}
-    for piv, row in pivots.items():
-        out[piv] = row.get(("rhs",), ring.zero())
-    return out
+    """Solve matrix * x = rhs for a list of sparse rows with independent
+    columns; raises ArithmeticError on a singular or inconsistent system."""
+    return Elimination(ring, matrix).solve(rhs)
 
 
 def invert_matrix(ring, matrix):

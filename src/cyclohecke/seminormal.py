@@ -15,7 +15,22 @@ where C(k) collects the possible contents of entry k over all shapes.  The
 seminormal basis is f_{st} = F_s m_{st} F_t with multiplication rule
 f_{st} f_{uv} = delta_{tu} gamma_t f_{sv}; the dual version g_{st} uses the
 n-basis.  Schur elements arise as s_lambda = 1 / tau(F_t), independent of
-the choice of t, and characters as chi_lambda(h) = s_lambda tau(h F_lambda).
+the choice of t.
+
+Characters come from the Ariki-Koike seminormal form (Ariki-Koike 1994,
+normalised as in Mathas 2004): matrices rho_lambda(T_i) indexed by the
+standard tableaux of lambda, with rho(T_0) = diag(c_1(t)), and rho(T_i)
+carrying the diagonal (xi-1) c_{i+1}(t) / (c_{i+1}(t) - c_i(t)) plus, on each
+pair {t, s_i t} of standard tableaux, off-diagonal entries 1 and
+d_t d_{s_i t} + xi.  The defining relations, and rho(L_m) = diag(c_m(t)),
+are checked on the matrices when they are built.  Since the L_m act
+diagonally, a character is a linear form on the Ariki-Koike basis,
+
+    chi_lambda(L^c T_w) = sum_t prod_m c_m(t)^{c_m} rho_lambda(T_w)[t, t],
+
+with rho(T_w) the product along the fixed reduced word of w.  The formula
+chi_lambda(h) = s_lambda tau(h F_lambda) and the trace of h F_lambda on the
+regular representation are kept as independent oracles.
 
 The central idempotent F_lambda = sum_t F_t is recovered a second way, as an
 explicit symmetric polynomial in the Jucys-Murphy elements: for each other
@@ -28,9 +43,12 @@ from __future__ import annotations
 
 from .hecke import HeckeError, elementary_symmetric_jm, m_basis, n_basis
 from .rings import elementary_symmetric
+from .group import coxeter_word
 from .tableaux import (
+    StdTableau,
     content_vector,
     enumerate_multipartitions,
+    node_below,
     standard_tableaux,
     t_row,
 )
@@ -71,6 +89,118 @@ def check_semisimple(ctx):
     return witness is None, witness
 
 
+# -- the Ariki-Koike seminormal matrices -------------------------------------
+#
+# A matrix is a list of sparse rows {column: nonzero entry}; rows and columns
+# are numbered by the standard tableaux of one shape.
+
+def _mat_mul(ring, a, b):
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for col, y in b[k].items():
+                acc[col] = acc[col] + x * y if col in acc else x * y
+        out.append({c: v for c, v in acc.items() if not ring.is_zero(v)})
+    return out
+
+
+def _mat_shift(ring, a, s):
+    """a + s * identity."""
+    out = [dict(row) for row in a]
+    for k, row in enumerate(out):
+        v = row.get(k, ring.zero()) + s
+        if ring.is_zero(v):
+            row.pop(k, None)
+        else:
+            row[k] = v
+    return out
+
+
+def _mat_diag(ring, values):
+    return [{k: v} if not ring.is_zero(v) else {} for k, v in enumerate(values)]
+
+
+def _swap_entries(t, i):
+    """s_i t: entries i and i+1 exchanged, standard or not."""
+    swap = {i: i + 1, i + 1: i}
+    rows = tuple(tuple(tuple(swap.get(v, v) for v in row) for row in comp)
+                 for comp in t.rows)
+    return StdTableau(t.shape, rows)
+
+
+def seminormal_matrices(ctx, stds, contents):
+    """rho(T_0), .., rho(T_{n-1}) on the basis indexed by the tableaux stds.
+
+    rho(T_0) = diag(c_1(t)).  rho(T_i) has diagonal entry
+    d_t = (xi-1) c_{i+1}(t) / (c_{i+1}(t) - c_i(t)); when u = s_i t is
+    standard, the pair {t, u} carries off-diagonal entries 1 and
+    d_t d_u + xi, the 1 sitting in the column of the tableau that has i+1
+    below i.
+    """
+    ring, xi = ctx.ring, ctx.xi
+    pos = {t.rows: k for k, t in enumerate(stds)}
+    gens = [_mat_diag(ring, [cv[0] for cv in contents])]
+    for i in range(1, ctx.params.n):
+        diag = []
+        for cv in contents:
+            gap = cv[i] - cv[i - 1]
+            if ring.is_zero(gap):
+                raise NotSemisimpleError("equal neighbouring contents")
+            diag.append(ring.div(ctx.xi_m1 * cv[i], gap))
+        rows = _mat_diag(ring, diag)
+        for k, t in enumerate(stds):
+            u = pos.get(_swap_entries(t, i).rows)
+            if u is None:
+                continue
+            if node_below(t.node_of(i + 1), t.node_of(i)):
+                entry = ring.one()
+            else:
+                entry = diag[k] * diag[u] + xi
+            if not ring.is_zero(entry):
+                rows[u][k] = entry
+        gens.append(rows)
+    return gens
+
+
+def relation_witness(ctx, gens, contents):
+    """None when the matrices satisfy the defining relations of the algebra
+    and rho(L_m) = diag(c_m(t)), else the name of a failed relation."""
+    ring, xi, n = ctx.ring, ctx.xi, ctx.params.n
+
+    def mul(*ms):
+        out = ms[0]
+        for m in ms[1:]:
+            out = _mat_mul(ring, out, m)
+        return out
+
+    if any(mul(*[_mat_shift(ring, gens[0], -q) for q in ctx.qs])):
+        return "cyclotomic"
+    for i in range(1, n):
+        if any(mul(_mat_shift(ring, gens[i], -xi),
+                   _mat_shift(ring, gens[i], ring.one()))):
+            return f"quadratic T_{i}"
+    if n >= 2 and mul(gens[0], gens[1], gens[0], gens[1]) != \
+            mul(gens[1], gens[0], gens[1], gens[0]):
+        return "T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0"
+    for i in range(1, n - 1):
+        if mul(gens[i], gens[i + 1], gens[i]) != \
+                mul(gens[i + 1], gens[i], gens[i + 1]):
+            return f"braid T_{i} T_{i + 1}"
+    for i in range(n):
+        for j in range(i + 2, n):
+            if mul(gens[i], gens[j]) != mul(gens[j], gens[i]):
+                return f"commuting T_{i} T_{j}"
+    jm = gens[0]
+    for m in range(1, n + 1):
+        if m > 1:
+            jm = [{c: v * ctx.xi_inv for c, v in row.items()}
+                  for row in mul(gens[m - 1], jm, gens[m - 1])]
+        if jm != _mat_diag(ring, [cv[m - 1] for cv in contents]):
+            return f"L_{m} eigenvalues"
+    return None
+
+
 class SeminormalData:
     """Per-context lazy store of seminormal structure."""
 
@@ -91,6 +221,10 @@ class SeminormalData:
         self._schur = {}
         self._mdiag = {}
         self._ndiag = {}
+        self._shape_contents = {}
+        self._rho = {}
+        self._word_rho = {}
+        self._basis_char = {}
 
     # -- raw combinatorial data ------------------------------------------
 
@@ -191,6 +325,64 @@ class SeminormalData:
             self._gamma_prime[key] = cached
         return cached
 
+    # -- the seminormal matrix representation ---------------------------------
+
+    def shape_contents(self, shape):
+        """Content vectors of the standard tableaux of shape, in std order."""
+        cached = self._shape_contents.get(shape)
+        if cached is None:
+            cached = [self.contents(t) for t in self.std[shape]]
+            self._shape_contents[shape] = cached
+        return cached
+
+    def generator_matrices(self, shape):
+        """rho_lambda(T_0), .., rho_lambda(T_{n-1}); the defining relations
+        are checked on them when they are built."""
+        gens = self._rho.get(shape)
+        if gens is None:
+            contents = self.shape_contents(shape)
+            gens = seminormal_matrices(self.ctx, self.std[shape], contents)
+            failed = relation_witness(self.ctx, gens, contents)
+            if failed is not None:
+                raise AssertionError(
+                    f"seminormal matrices of {shape} break the relation {failed}")
+            self._rho[shape] = gens
+        return gens
+
+    def _word_matrix(self, shape, word):
+        """rho_lambda of the generator word, memoised with its prefixes."""
+        key = (shape, word)
+        cached = self._word_rho.get(key)
+        if cached is None:
+            ring = self.ctx.ring
+            if word:
+                cached = _mat_mul(ring, self._word_matrix(shape, word[:-1]),
+                                  self.generator_matrices(shape)[word[-1]])
+            else:
+                cached = _mat_diag(ring, [ring.one()] * len(self.std[shape]))
+            self._word_rho[key] = cached
+        return cached
+
+    def _basis_character(self, shape, idx):
+        """chi_lambda(L^c T_w) for the Ariki-Koike basis index (c, w)."""
+        key = (shape, idx)
+        cached = self._basis_char.get(key)
+        if cached is None:
+            ring = self.ctx.ring
+            c, w = idx
+            rho = self._word_matrix(shape, coxeter_word(w))
+            cached = ring.zero()
+            for k, cv in enumerate(self.shape_contents(shape)):
+                term = rho[k].get(k)
+                if term is None:
+                    continue
+                for cm, content in zip(c, cv):
+                    for _ in range(cm):
+                        term = term * content
+                cached = cached + term
+            self._basis_char[key] = cached
+        return cached
+
     # -- Schur elements and characters ---------------------------------------
 
     def schur(self, shape):
@@ -211,7 +403,18 @@ class SeminormalData:
         return cached
 
     def character(self, shape, h):
-        """chi_lambda(h) = s_lambda * tau(h F_lambda)."""
+        """chi_lambda(h), linear in the Ariki-Koike coordinates of h:
+        chi_lambda(L^c T_w) = sum_t prod_m c_m(t)^{c_m} rho_lambda(T_w)[t, t]."""
+        ring = self.ctx.ring
+        total = ring.zero()
+        for idx, coeff in h.terms.items():
+            value = self._basis_character(shape, idx)
+            if not ring.is_zero(value):
+                total = total + coeff * value
+        return total
+
+    def character_via_tau(self, shape, h):
+        """Oracle: chi_lambda(h) = s_lambda * tau(h F_lambda)."""
         return self.schur(shape) * (h * self.F_lambda(shape)).tau()
 
     def character_via_regular_trace(self, shape, h):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from fractions import Fraction
@@ -257,3 +259,19 @@ def test_xi_one_context_constructible():
     T0, T1 = ctx.generator(0), ctx.generator(1)
     assert (T1 * T1) == ctx.one()
     assert T0 * T1 * T0 * T1 == T1 * T0 * T1 * T0
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3)])
+def test_dropped_context_is_freed_without_gc(r, n):
+    ctx = spec_context(r, n)
+    for w in enumerate_group(ctx.params):
+        t_element(ctx, w)
+    for m in range(1, n + 1):
+        ctx.jm(m)
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()

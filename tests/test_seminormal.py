@@ -9,6 +9,7 @@ from cyclohecke.seminormal import (
     NotSemisimpleError,
     SeminormalData,
     check_semisimple,
+    relation_witness,
 )
 from cyclohecke.tableaux import pair_dominance_lt
 
@@ -199,3 +200,27 @@ def test_schur_independent_of_tableau(snd22):
         vals = {ctx.ring.div(ctx.ring.one(), snd22.F(t).tau())
                 for t in snd22.std[shape]}
         assert len(vals) == 1
+
+
+@pytest.mark.parametrize("make,r,n", [
+    (spec_context, 2, 2), (spec_context, 1, 3), (fraction_context, 2, 2)])
+def test_matrix_character_matches_both_oracles(make, r, n):
+    snd = SeminormalData(make(r, n))
+    ctx = snd.ctx
+    for shape in snd.shapes:
+        for idx in ctx.basis_indices():
+            h = ctx.from_index(idx)
+            value = snd.character(shape, h)
+            assert value == snd.character_via_tau(shape, h)
+            assert value == snd.character_via_regular_trace(shape, h)
+
+
+def test_relation_check_rejects_altered_matrix(snd22):
+    ctx = snd22.ctx
+    shape = next(s for s in snd22.shapes if len(snd22.std[s]) == 2)
+    contents = snd22.shape_contents(shape)
+    gens = snd22.generator_matrices(shape)
+    assert relation_witness(ctx, gens, contents) is None
+    altered = [[dict(row) for row in m] for m in gens]
+    altered[1][0][0] = altered[1][0][0] + ctx.ring.one()
+    assert relation_witness(ctx, altered, contents) is not None
