@@ -35,7 +35,7 @@ from .group import (
     phi_inverse,
     w_alpha,
 )
-from .hecke import HeckeElement, t_element
+from .hecke import HeckeElement, _bump, t_element
 from .linalg import Elimination, SubspaceBasis, invert_matrix, nullspace
 from .seminormal import SeminormalData
 from .tableaux import enumerate_multipartitions
@@ -211,10 +211,10 @@ class ClassPolynomials:
     def residual_in_commutators(self, kind, elt, coeffs):
         """elt - sum_C coeffs[C] T lies in [H, H], T running over the "rep"
         (f rows) or "hat" (g rows) targets."""
-        residual = elt
-        for info in self.classes:
-            residual = residual - self._targets[kind][info.label].scale(
-                coeffs[info.label])
+        targets = self._targets[kind]
+        residual = elt - _combination(
+            self.ctx, ((targets[info.label], coeffs[info.label])
+                       for info in self.classes))
         return self.commutator_basis().contains(residual.terms)
 
     def f_for_element(self, elt, check_residual=True):
@@ -253,13 +253,8 @@ class DualBasis:
             for a in self.t_elts
         ]
         inv = invert_matrix(ctx.ring, gram)   # raises when tau degenerates
-        self.duals = []
-        for j in range(len(self.order)):
-            elt = ctx.zero()
-            for i in range(len(self.order)):
-                if not ctx.ring.is_zero(inv[i][j]):
-                    elt = elt + self.t_elts[i].scale(inv[i][j])
-            self.duals.append(elt)
+        self.duals = [_combination(ctx, zip(self.t_elts, col))
+                      for col in zip(*inv)]
         self._pos = {w: i for i, w in enumerate(self.order)}
 
     def dual(self, w):
@@ -275,18 +270,21 @@ def center_bases_yz(ctx, polys, dual):
     fs = {w: polys.f_polys(w, check_residual=False) for w in dual.order}
     gs = {w: polys.g_polys(w, check_residual=False) for w in dual.order}
     for info in polys.classes:
-        y = ctx.zero()
-        z = ctx.zero()
-        for w in dual.order:
-            fy = fs[w][info.label]
-            if not ctx.ring.is_zero(fy):
-                y = y + dual.dual(w).scale(fy)
-            gz = gs[w][info.label]
-            if not ctx.ring.is_zero(gz):
-                z = z + dual.dual(w.inverse()).scale(gz)
-        ys[info.label] = y
-        zs[info.label] = z
+        ys[info.label] = _combination(
+            ctx, ((dual.dual(w), fs[w][info.label]) for w in dual.order))
+        zs[info.label] = _combination(
+            ctx, ((dual.dual(w.inverse()), gs[w][info.label]) for w in dual.order))
     return ys, zs
+
+
+def _combination(ctx, pairs):
+    """sum c * elt over (elt, c) pairs, accumulated in one terms dict."""
+    terms = {}
+    for elt, c in pairs:
+        if not ctx.ring.is_zero(c):
+            for idx, v in elt.terms.items():
+                _bump(ctx, terms, idx, v * c)
+    return HeckeElement(ctx, terms)
 
 
 def is_central(ctx, elt):

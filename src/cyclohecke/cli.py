@@ -434,13 +434,15 @@ def _add_common(p, ring=True):
         p.add_argument("--spec", help='specialization "xi=V,Q=V1,..,Vr"')
 
 
+def _add_budget(p):
+    p.add_argument("--budget", type=int, default=50_000,
+                   help="largest group order to enumerate")
+
+
 def make_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "table", "csv"),
                         default="json")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--trials", type=int, default=100)
-    shared.add_argument("--budget", type=int, default=50_000)
 
     parser = argparse.ArgumentParser(
         prog="cyclohecke",
@@ -461,6 +463,8 @@ def make_parser():
         if needs_word:
             p.add_argument("--word", required=True,
                            help='generators, e.g. "t s1 s2"')
+        if name == "classes":
+            _add_budget(p)
         if name == "reduce":
             p.add_argument("--canonical", action="store_true",
                            help="also sort the uncolored part into a partition")
@@ -483,6 +487,11 @@ def make_parser():
             p.add_argument("--y-word", help="right factor as a generator word")
             p.add_argument("--x", help="left factor as serialized JSON")
             p.add_argument("--y", help="right factor as serialized JSON")
+        if name == "relations":
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--trials", type=int, default=100)
+        if name in ("class-polys", "dual-class-polys"):
+            _add_budget(p)
         if name == "class-polys":
             p.add_argument("--word", help="single element; default all")
             p.add_argument("--compare-reps", action="store_true",

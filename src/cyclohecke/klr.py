@@ -33,11 +33,17 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .linalg import SubspaceBasis, solve
+from .rings import poly_bezout, poly_divmod, poly_mul
 from .tableaux import enumerate_multipartitions, residue_sequence, standard_tableaux
 
 
 class KLRError(ArithmeticError):
     pass
+
+
+class WeightError(KLRError, ValueError):
+    """A weight that is invalid or that the context does not realise: bad
+    input rather than a failed invariant."""
 
 
 @dataclass(frozen=True)
@@ -47,71 +53,11 @@ class WeightData:
 
     def __post_init__(self):
         if self.e < 2:
-            raise KLRError("need quantum characteristic e >= 2 (xi != 1)")
+            raise WeightError("need quantum characteristic e >= 2 (xi != 1)")
 
     def multiplicity(self, i):
         """<Lambda, alpha_i^vee> = number of kappa_l congruent to i."""
         return sum(1 for k in self.kappa if k % self.e == i % self.e)
-
-
-# -- dense polynomial helpers over an arbitrary coefficient field ----------------
-
-def _ptrim(ring, p):
-    while p and ring.is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def _pmul(ring, p, q):
-    if not p or not q:
-        return []
-    out = [ring.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if ring.is_zero(a):
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _ptrim(ring, out)
-
-
-def _pdivmod(ring, p, q):
-    p = list(p)
-    dq = len(q) - 1
-    inv_lead = ring.invert(q[-1])
-    quot = [ring.zero()] * max(0, len(p) - dq)
-    while p and len(p) - 1 >= dq:
-        c = p[-1] * inv_lead
-        shift = len(p) - 1 - dq
-        quot[shift] = c
-        for j, b in enumerate(q):
-            p[shift + j] = p[shift + j] - c * b
-        _ptrim(ring, p)
-    return quot, p
-
-
-def _pgcd_ext(ring, f, g):
-    """(u, v) with u*f + v*g = gcd normalized to 1; f, g must be coprime."""
-    r0, r1 = list(f), list(g)
-    u0, u1 = [ring.one()], []
-    v0, v1 = [], [ring.one()]
-    while r1:
-        q, r2 = _pdivmod(ring, r0, r1)
-        u2 = _psub(ring, u0, _pmul(ring, q, u1))
-        v2 = _psub(ring, v0, _pmul(ring, q, v1))
-        r0, r1, u0, u1, v0, v1 = r1, r2, u1, u2, v1, v2
-    if len(r0) != 1:
-        raise KLRError("polynomials are not coprime")
-    inv = ring.invert(r0[0])
-    return [c * inv for c in u0], [c * inv for c in v0]
-
-
-def _psub(ring, p, q):
-    out = [ring.zero()] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] = out[i] + a
-    for i, b in enumerate(q):
-        out[i] = out[i] - b
-    return _ptrim(ring, out)
 
 
 def _peval_element(ctx, poly, elt):
@@ -162,7 +108,7 @@ def _root_multiplicities(ring, poly, candidates):
     for v in candidates:
         m = 0
         while len(rest) > 1:
-            quot, rem = _pdivmod(ring, rest, [-v, ring.one()])
+            quot, rem = poly_divmod(ring, rest, [-v, ring.one()])
             if rem:
                 break
             rest = quot
@@ -183,21 +129,24 @@ class KLRBlocks:
         ring = ctx.ring
         e = weight.e
         # the context must realise the weight: quantum characteristic and orbit
+        if len(weight.kappa) != len(ctx.qs):
+            raise WeightError(f"need one kappa per cyclotomic parameter, "
+                              f"{len(ctx.qs)} in all")
         total = ring.zero()
         power = ring.one()
         for k in range(e):
             if k and ring.is_zero(total):
-                raise KLRError(f"xi has quantum characteristic {k}, not {e}")
+                raise WeightError(f"xi has quantum characteristic {k}, not {e}")
             total = total + power
             power = power * ctx.xi
         if not ring.is_zero(total):
-            raise KLRError("1 + xi + .. + xi^{e-1} does not vanish")
+            raise WeightError("1 + xi + .. + xi^{e-1} does not vanish")
         self.xi_powers = [ring.one()]
         for _ in range(e - 1):
             self.xi_powers.append(self.xi_powers[-1] * ctx.xi)
         for l, kap in enumerate(weight.kappa, start=1):
             if not (ctx.qs[l - 1] == self.xi_powers[kap % e]):
-                raise KLRError(f"Q{l} != xi^kappa_{l}")
+                raise WeightError(f"Q{l} != xi^kappa_{l}")
         self._spectral = self._spectral_projectors()
         self.idempotents = self._joint_idempotents()
 
@@ -215,12 +164,12 @@ class KLRBlocks:
             for v, m in mults.items():
                 factor = [ring.one()]
                 for _ in range(m):
-                    factor = _pmul(ring, factor, [-v, ring.one()])
-                q, rem = _pdivmod(ring, mu, factor)
+                    factor = poly_mul(ring, factor, [-v, ring.one()])
+                q, rem = poly_divmod(ring, mu, factor)
                 if rem:
                     raise KLRError("inconsistent factorization")
-                _, b = _pgcd_ext(ring, factor, q)
-                proj = _peval_element(ctx, _pmul(ring, b, q), jm)
+                _, b = poly_bezout(ring, factor, q)
+                proj = _peval_element(ctx, poly_mul(ring, b, q), jm)
                 if not (proj * proj == proj):
                     raise KLRError("spectral projector failed idempotency")
                 projs[self.xi_powers.index(v)] = proj

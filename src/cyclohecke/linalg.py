@@ -1,10 +1,17 @@
 r"""
 Sparse exact linear algebra over the coefficient fields.
 
-Vectors are dicts ``{column: coefficient}``; a subspace is kept as a reduced
-row-echelon basis keyed by pivot columns.  Elimination is plain field
-elimination; pivots prefer rows with few terms and structurally small
-coefficients to limit expression swell in the function-field cases.
+Vectors are dicts ``{column: coefficient}``.  There is one elimination,
+``SubspaceBasis``: a reduced row-echelon basis keyed by pivot columns, in
+which every stored row is 1 at its pivot and 0 at every other pivot.  That
+invariant is what lets a vector be reduced in one pass over the pivots.
+Pivots prefer entries with few terms and structurally small coefficients to
+limit expression swell in the function-field cases.
+
+Everything else reads a ``SubspaceBasis``: ``nullspace`` takes the free
+columns of the row space, ``Elimination`` records each row operation of the
+echelon build so that a right-hand side costs only a replay, and ``solve``
+and ``invert_matrix`` are replays of an ``Elimination``.
 """
 
 from __future__ import annotations
@@ -15,55 +22,58 @@ class SubspaceBasis:
 
     def __init__(self, ring):
         self.ring = ring
-        self.rows = {}        # pivot column -> reduced row (dict)
+        self.rows = {}        # pivot column -> row, 1 at its pivot, 0 at other pivots
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, vec):
+    def _record(self, target, source, coeff):
+        """Hook called on every row operation of ``add``.  Rows are named by
+        pivot column, None being the vector under insertion; the operation
+        is ``row[target] -= coeff * row[source]``, or ``row[target] *= coeff``
+        when target == source."""
+
+    def _reduce(self, vec, record):
         vec = {c: v for c, v in vec.items() if not self.ring.is_zero(v)}
-        while True:
-            hits = [c for c in vec if c in self.rows]
-            if not hits:
-                return vec
-            for col in sorted(hits):
-                coeff = vec.get(col)
-                if coeff is None or self.ring.is_zero(coeff):
-                    continue
-                _subtract_multiple(self.ring, vec, coeff, self.rows[col])
+        for col, row in self.rows.items():
+            coeff = vec.get(col)
+            if coeff is not None:
+                _subtract_multiple(self.ring, vec, coeff, row)
+                if record:
+                    self._record(None, col, coeff)
+        return vec
 
     def reduce(self, vec):
         """Remainder of vec against the current basis."""
-        return self._reduce(vec)
+        return self._reduce(vec, False)
 
     def contains(self, vec):
-        return not self._reduce(vec)
+        return not self._reduce(vec, False)
 
     def add(self, vec):
         """Insert a vector; returns True when the rank grew."""
-        rem = self._reduce(vec)
+        rem = self._reduce(vec, True)
         if not rem:
             return False
         pivot = min(rem, key=lambda col: (_size(rem[col]), col))
         inv = self.ring.invert(rem[pivot])
         row = {c: v * inv for c, v in rem.items()}
-        self._back_substitute(pivot, row)
+        self._record(None, None, inv)
+        for col, row2 in self.rows.items():
+            coeff = row2.get(pivot)
+            if coeff is not None:
+                _subtract_multiple(self.ring, row2, coeff, row)
+                self._record(col, None, coeff)
         self.rows[pivot] = row
         return True
-
-    def _back_substitute(self, pivot, row):
-        for piv2, row2 in self.rows.items():
-            coeff = row2.get(pivot)
-            if coeff is None or self.ring.is_zero(coeff):
-                continue
-            _subtract_multiple(self.ring, row2, coeff, row)
 
     def vectors(self):
         return [dict(r) for _, r in sorted(self.rows.items())]
 
 
-def span_rank(ring, vectors):
+def span(ring, vectors):
+    """The SubspaceBasis of the span of vectors."""
     basis = SubspaceBasis(ring)
     for v in vectors:
         basis.add(v)
@@ -72,36 +82,16 @@ def span_rank(ring, vectors):
 
 def nullspace(ring, rows, columns):
     """Nullspace of the matrix given as a list of sparse rows over the given
-    column labels.  Returns a list of sparse solution vectors."""
-    # Gaussian elimination tracking pivots
-    work = [dict(r) for r in rows if r]
-    pivots = {}
-    for row in work:
-        # reduce against chosen pivots
-        for col, prow in pivots.items():
-            coeff = row.get(col)
-            if coeff is None or ring.is_zero(coeff):
-                continue
-            _subtract_multiple(ring, row, coeff, prow)
-        row = {c: v for c, v in row.items() if not ring.is_zero(v)}
-        if not row:
-            continue
-        piv = min(row, key=lambda c: (_size(row[c]), c))
-        inv = ring.invert(row[piv])
-        row = {c: v * inv for c, v in row.items()}
-        for col2, prow2 in pivots.items():
-            coeff = prow2.get(piv)
-            if coeff is None or ring.is_zero(coeff):
-                continue
-            _subtract_multiple(ring, prow2, coeff, row)
-        pivots[piv] = row
-    free = [c for c in columns if c not in pivots]
+    column labels: one solution vector per free column of the row space."""
+    pivots = span(ring, rows).rows
     sols = []
-    for fc in free:
+    for fc in columns:
+        if fc in pivots:
+            continue
         vec = {fc: ring.one()}
         for piv, row in pivots.items():
             coeff = row.get(fc)
-            if coeff is not None and not ring.is_zero(coeff):
+            if coeff is not None:
                 vec[piv] = -coeff
         sols.append(vec)
     return sols
@@ -127,8 +117,8 @@ def _size(coeff):
     return 1
 
 
-class Elimination:
-    """Gauss-Jordan elimination of a matrix, recorded once so that each
+class Elimination(SubspaceBasis):
+    """The echelon build of a matrix's rows, recorded once so that each
     right-hand side costs only a replay of the row operations.
 
     The matrix is a list of sparse rows over column labels; rows may
@@ -137,38 +127,25 @@ class Elimination:
     """
 
     def __init__(self, ring, matrix):
-        self.ring = ring
+        super().__init__(ring)
         self.ops = []         # (target, source, coeff): b[t] -= coeff b[s];
                               # (target, None, inv): b[t] *= inv
         self.pivots = {}      # pivot column -> row number
         self.dependent = []   # rows eliminated to zero
-        reduced = {}          # pivot column -> reduced row
         for i, row in enumerate(matrix):
-            row = dict(row)
-            for col, prow in reduced.items():
-                coeff = row.get(col)
-                if coeff is None or ring.is_zero(coeff):
-                    continue
-                _subtract_multiple(ring, row, coeff, prow)
-                self.ops.append((i, self.pivots[col], coeff))
-            live = [c for c in row if not ring.is_zero(row[c])]
-            if not live:
+            self._current = i
+            if self.add(row):
+                self.pivots[next(reversed(self.rows))] = i   # the newest pivot
+            else:
                 self.dependent.append(i)
-                continue
-            piv = min(live, key=lambda c: (_size(row[c]), c))
-            inv = ring.invert(row[piv])
-            row = {c: v * inv for c, v in row.items()}
-            self.ops.append((i, None, inv))
-            for col2, prow2 in reduced.items():
-                coeff = prow2.get(piv)
-                if coeff is None or ring.is_zero(coeff):
-                    continue
-                _subtract_multiple(ring, prow2, coeff, row)
-                self.ops.append((self.pivots[col2], i, coeff))
-            reduced[piv] = row
-            self.pivots[piv] = i
-        if len(self.pivots) < len({c for row in matrix for c in row}):
+        if self.rank < len({c for row in matrix for c in row}):
             raise ArithmeticError("singular linear system")
+
+    def _record(self, target, source, coeff):
+        def number(col):
+            return self._current if col is None else self.pivots[col]
+        self.ops.append((number(target),
+                         None if source == target else number(source), coeff))
 
     def solve(self, rhs):
         """{column: value} with matrix * x = rhs; raises ArithmeticError
@@ -193,29 +170,15 @@ def solve(ring, matrix, rhs):
 
 
 def invert_matrix(ring, matrix):
-    """Inverse of a dense square matrix given as list of lists."""
+    """Inverse of a dense square matrix given as list of lists; column k is
+    the solution for the k-th unit vector."""
     n = len(matrix)
-    aug = [list(row) + [ring.one() if i == j else ring.zero() for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = None
-        best = None
-        for i in range(col, n):
-            v = aug[i][col]
-            if not ring.is_zero(v):
-                size = _size(v)
-                if best is None or size < best:
-                    piv, best = i, size
-        if piv is None:
-            raise ArithmeticError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ring.invert(aug[col][col])
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i == col:
-                continue
-            f = aug[i][col]
-            if ring.is_zero(f):
-                continue
-            aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    elim = Elimination(ring, [
+        {j: v for j, v in enumerate(row) if not ring.is_zero(v)} for row in matrix
+    ])
+    if elim.rank < n:
+        raise ArithmeticError("singular matrix")
+    zero, one = ring.zero(), ring.one()
+    cols = [elim.solve([one if i == k else zero for i in range(n)])
+            for k in range(n)]
+    return [[cols[k][j] for k in range(n)] for j in range(n)]

@@ -17,6 +17,12 @@ A ``RingSpec`` names one of these coefficient domains and provides uniform
 construction, parsing and formatting.  Values of distinct rings never mix;
 binary operations raise ``CoefficientError`` on foreign operands.
 
+Univariate polynomials over a field ``RingSpec`` are dense coefficient lists,
+lowest degree first, with one toolkit for them: ``poly_trim``, ``poly_mul``,
+``poly_sub``, ``poly_divmod`` and ``poly_bezout``.  It computes the
+cyclotomic polynomials, inverts in ``Cyc`` through a Bezout identity against
+$\Phi_e$, and builds the spectral projectors of the KLR layer.
+
 >>> R = RingSpec.laurent(2)
 >>> xi, Q1, Q2 = R.xi(), R.q(1), R.q(2)
 >>> print(R.format(xi * xi.inverse_unit()))
@@ -43,37 +49,66 @@ class NonFieldDivisionError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate integer/rational polynomial helpers (low degree first)
+# dense univariate polynomials over a field RingSpec (low degree first)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
+def poly_trim(ring, p):
+    """Drop vanishing top coefficients in place; zero is the empty list."""
+    while p and ring.is_zero(p[-1]):
         p.pop()
     return p
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1) if p and q else []
+def poly_mul(ring, p, q):
+    if not p or not q:
+        return []
+    out = [ring.zero()] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
+        if ring.is_zero(a):
+            continue
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return poly_trim(ring, out)
 
 
-def _poly_divmod(p, q):
+def poly_sub(ring, p, q):
+    out = list(p) + [ring.zero()] * (len(q) - len(p))
+    for i, b in enumerate(q):
+        out[i] = out[i] - b
+    return poly_trim(ring, out)
+
+
+def poly_divmod(ring, p, q):
+    """(quotient, remainder) of p by a nonzero trimmed q."""
     p = list(p)
     dq = len(q) - 1
-    lead = q[-1]
-    quot = [0] * max(0, len(p) - dq)
-    while len(p) - 1 >= dq and p:
+    inv_lead = ring.invert(q[-1])
+    quot = [ring.zero()] * max(0, len(p) - dq)
+    while len(p) > dq:
+        c = p[-1] * inv_lead
         shift = len(p) - 1 - dq
-        c = Fraction(p[-1], 1) / lead
         quot[shift] = c
         for j, b in enumerate(q):
-            p[shift + j] -= c * b
-        _poly_trim(p)
-    return _poly_trim(quot), p
+            p[shift + j] = p[shift + j] - c * b
+        poly_trim(ring, p)
+    return poly_trim(ring, quot), p
+
+
+def poly_bezout(ring, f, g):
+    """(u, v) with u*f + v*g = 1; raises ArithmeticError unless f and g are
+    coprime."""
+    r0, r1 = poly_trim(ring, list(f)), poly_trim(ring, list(g))
+    u0, u1 = [ring.one()], []
+    v0, v1 = [], [ring.one()]
+    while r1:
+        q, r2 = poly_divmod(ring, r0, r1)
+        r0, r1 = r1, r2
+        u0, u1 = u1, poly_sub(ring, u0, poly_mul(ring, q, u1))
+        v0, v1 = v1, poly_sub(ring, v0, poly_mul(ring, q, v1))
+    if len(r0) != 1:
+        raise ArithmeticError("polynomials are not coprime")
+    inv = ring.invert(r0[0])
+    return [c * inv for c in u0], [c * inv for c in v0]
 
 
 @lru_cache(maxsize=None)
@@ -81,14 +116,15 @@ def cyclotomic_polynomial(e):
     """Integer coefficients of Phi_e, lowest degree first."""
     if e < 1:
         raise ValueError("conductor must be positive")
-    poly = [-1] + [0] * (e - 1) + [1]
+    rationals = RingSpec.rational()
+    poly = [Fraction(-1)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
     for d in range(1, e):
         if e % d == 0:
-            quot, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            poly, rem = poly_divmod(
+                rationals, poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
             if rem:
                 raise AssertionError("cyclotomic division must be exact")
-            poly = [int(c) for c in quot]
-    return tuple(poly)
+    return tuple(int(c) for c in poly)
 
 
 def euler_phi(e):
@@ -161,23 +197,9 @@ class Cyc:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended Euclid in Q[x] against Phi_e
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.e)]
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r2 = _poly_divmod(r0, r1)
-            s2 = list(s0)
-            s2 += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s2))
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        s2[i + j] -= a * b
-            r0, r1, s0, s1 = r1, r2, s1, _poly_trim(s2)
-        if len(r0) != 1:
-            raise AssertionError("Phi_e must be coprime to nonzero residues")
-        unit = r0[0]
-        return Cyc(self.e, [c / unit for c in s0])
+        _, v = poly_bezout(RingSpec.rational(), phi, list(self.coeffs))
+        return Cyc(self.e, v)
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -619,11 +641,24 @@ class LaurentFrac:
             return NotImplemented
         return (self.num * o.den_poly()) == (o.num * self.den_poly())
 
+    def _extreme_term(self, pick):
+        """The lex-``pick`` (max or min) term of the numerator over that of
+        the denominator, as (exponent difference, coefficient ratio)."""
+        exps = pick(self.num.terms)
+        coeff = Fraction(self.num.terms[exps], self.scale)
+        for f, m in self.factors.items():
+            ext = pick(f.terms)
+            exps = tuple(a - m * b for a, b in zip(exps, ext))
+            coeff /= f.terms[ext] ** m
+        return exps, coeff
+
     def __hash__(self):
-        # canonicalise through the (expensive) expanded pair only on demand
+        # extreme terms multiply under products, so a d = c b makes these
+        # ratios equal for every representation a/b = c/d of one value
         if self._hash is None:
-            prim, _ = (self.num * 0 + self.num).primitive()
-            object.__setattr__(self, "_hash", hash((self.nq, prim)))
+            key = None if self.is_zero() else \
+                (self._extreme_term(max), self._extreme_term(min))
+            object.__setattr__(self, "_hash", hash((self.nq, key)))
         return self._hash
 
     def __repr__(self):

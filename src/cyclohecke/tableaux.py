@@ -57,19 +57,18 @@ def enumerate_multipartitions(r, n):
     """All r-multipartitions of n, in a fixed deterministic order."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1, n >= 0")
-    out = []
+    return _multipartitions(r, n)
 
-    def go(prefix, comp, remaining):
-        if comp == r:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for size in range(remaining, -1, -1):
-            for lam in partitions(size):
-                go(prefix + [lam], comp + 1, remaining - size)
 
-    go([], 0, n)
-    return out
+def _multipartitions(r, n):
+    # a module-level recursion: an inner function calling itself through its
+    # closure would leave a reference cycle behind on every call
+    if r == 1:
+        return [(lam,) for lam in partitions(n)]
+    return [(lam,) + rest
+            for size in range(n, -1, -1)
+            for lam in partitions(size)
+            for rest in _multipartitions(r - 1, n - size)]
 
 
 def multipartition_size(lam):
@@ -229,19 +228,13 @@ def t_col(shape):
 
 def standard_tableaux(shape):
     """All standard tableaux of the given shape, deterministic order."""
-    n = multipartition_size(shape)
-    out = []
-
-    def go(current_shape, m, assign):
-        if m == 0:
-            out.append(_tableau_from_entries(shape, assign))
-            return
-        for nd in removable_nodes(current_shape):
-            assign[nd] = m
-            go(remove_node(current_shape, nd), m - 1, assign)
-            del assign[nd]
-
-    go(shape, n, {})
+    # partial fillings (remaining shape, {node: entry}), peeling entries n..1
+    # off removable nodes
+    partial = [(shape, {})]
+    for m in range(multipartition_size(shape), 0, -1):
+        partial = [(remove_node(cur, nd), {**assign, nd: m})
+                   for cur, assign in partial for nd in removable_nodes(cur)]
+    out = [_tableau_from_entries(shape, assign) for _, assign in partial]
     out.sort(key=lambda t: t.word())
     return out
 

@@ -125,6 +125,25 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+def test_klr_weight_errors_exit_2():
+    base = ["klr", "blocks", "--r", "1", "--n", "2"]
+    for extra in (["--e", "1", "--kappa", "0", "--spec", "xi=-1,Q=1"],
+                  ["--e", "2", "--kappa", "0", "--spec", "xi=-1,Q=-1"],
+                  ["--e", "2", "--kappa", "0,1", "--spec", "xi=-1,Q=1"]):
+        code, out, err = run_cli(base + extra)
+        assert code == 2 and not out
+        assert "error:" in err and "Traceback" not in err
+
+
+def test_options_only_where_read():
+    code, _, _ = run_cli(["selftest", "--level", "quick", "--seed", "5"])
+    assert code == 2
+    code, rep = run_json(["group", "length", "--r", "2", "--n", "2",
+                          "--word", "t"])
+    assert code == 0
+    assert not {"seed", "trials", "budget"} & set(rep["params"])
+
+
 def test_selftest_single_criterion():
     code, rep = run_json(["selftest", "--level", "quick", "--criteria", "5"])
     assert code == 0

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclohecke.rings import (
     CoefficientError,
@@ -13,6 +15,10 @@ from cyclohecke.rings import (
     cyclotomic_polynomial,
     elementary_symmetric,
     laurent_try_divide,
+    poly_bezout,
+    poly_divmod,
+    poly_mul,
+    poly_sub,
 )
 
 
@@ -26,6 +32,46 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_e_minus_1():
+    Q = RingSpec.rational()
+    for e in range(1, 13):
+        prod = [Fraction(1)]
+        for d in range(1, e + 1):
+            if e % d == 0:
+                prod = poly_mul(Q, prod, [Fraction(c) for c in cyclotomic_polynomial(d)])
+        assert prod == [-1] + [0] * (e - 1) + [1]
+
+
+@pytest.mark.parametrize("ring", [RingSpec.rational(), RingSpec.cyclotomic(3)])
+def test_bezout_identity(ring):
+    rng = random.Random(3)
+    c = ring.from_int if ring.kind == "rational" else \
+        (lambda k: Cyc(3, [k, rng.randint(-2, 2)]))
+    one = ring.one()
+    for _ in range(10):
+        roots = rng.sample(range(-6, 7), 5)
+        f = [one]
+        for v in roots[:3]:
+            f = poly_mul(ring, f, [c(-v), one])
+        g = [c(rng.randint(1, 4))]
+        for v in roots[3:]:
+            g = poly_mul(ring, g, [ring.from_int(-v), one])
+        u, v = poly_bezout(ring, f, g)
+        assert poly_sub(ring, [one], poly_mul(ring, u, f)) == poly_mul(ring, v, g)
+        quot, rem = poly_divmod(ring, poly_mul(ring, f, g), g)
+        assert not rem and quot == f
+
+
+def test_bezout_rejects_common_factor():
+    Q = RingSpec.rational()
+    one = Fraction(1)
+    common = [Fraction(-2), one]
+    f = poly_mul(Q, common, [one, one])
+    g = poly_mul(Q, common, [one, Fraction(3), one])
+    with pytest.raises(ArithmeticError):
+        poly_bezout(Q, f, g)
 
 
 def test_zeta2_embeds_rationals():
@@ -184,3 +230,60 @@ def test_elementary_symmetric():
     assert elementary_symmetric(vals, 1, Fraction(1)) == 6
     assert elementary_symmetric(vals, 2, Fraction(1)) == 11
     assert elementary_symmetric(vals, 3, Fraction(1)) == 6
+
+
+def test_fraction_hash_ignores_representation():
+    R = RingSpec.laurent(1)
+    xi, q1 = R.xi(), R.q(1)
+    f1, f2, g = xi + 3 * q1, xi - q1, xi * xi + 2
+    a = LaurentFrac(f1 * g, 1, {f1 * f2: 1})
+    b = LaurentFrac(g, 1, {f2: 1})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+_RINGS = [RingSpec.rational(), RingSpec.cyclotomic(3), RingSpec.laurent(1),
+          RingSpec.fraction(1), RingSpec.specialized(2, [1, 100])]
+_small = st.integers(-3, 3)
+
+
+def _laurent(nq):
+    exps = st.tuples(*[st.integers(-1, 2)] * (nq + 1))
+    return st.dictionaries(exps, _small, max_size=3).map(lambda t: Laurent(nq, t))
+
+
+def _element(ring):
+    if ring.kind in ("rational", "rational-specialization"):
+        return st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    if ring.kind == "cyclotomic":
+        return st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                        max_size=3).map(lambda cs: Cyc(ring.e, cs))
+    if ring.kind == "laurent":
+        return _laurent(ring.nq)
+    nonzero = _laurent(ring.nq).filter(lambda p: not p.is_zero())
+    return st.tuples(_laurent(ring.nq), nonzero).map(
+        lambda nd: LaurentFrac(nd[0]) / LaurentFrac(nd[1]))
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.kind)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ring_axioms_and_hash_consistency(ring, data):
+    a, b, c = (data.draw(_element(ring)) for _ in range(3))
+    zero, one = ring.zero(), ring.one()
+    equal_pairs = [
+        ((a + b) + c, a + (b + c)),
+        (a + b, b + a),
+        ((a * b) * c, a * (b * c)),
+        (a * b, b * a),
+        (a * (b + c), a * b + a * c),
+        (a + zero, a),
+        (a * one, a),
+        (a - a, zero),
+    ]
+    if ring.is_field and not ring.is_zero(b):
+        equal_pairs.append(((a * b) / b, a))
+        if not ring.is_zero(c):
+            equal_pairs.append(((a * c) / (b * c), a / b))
+    for x, y in equal_pairs:
+        assert x == y
+        assert hash(x) == hash(y)

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -142,3 +143,14 @@ def test_node_sets():
 def test_compositions():
     assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert multipartition_size(((2, 1), (1,))) == 4
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_multipartitions(2, 3)
+        standard_tableaux(((2, 1), (1,)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
