@@ -197,11 +197,9 @@ class ClassPolynomials:
     # -- f and g -------------------------------------------------------------
 
     def _coefficients(self, kind, elt, check_residual):
-        ring = self.ctx.ring
         rhs = [self.snd.character(shape, elt) for shape in self.shapes]
         sol = self._elimination(kind).solve(rhs)
-        coeffs = {info.label: sol.get(info.label, ring.zero())
-                  for info in self.classes}
+        coeffs = {info.label: sol[info.label] for info in self.classes}
         if check_residual and not self.residual_in_commutators(kind, elt, coeffs):
             raise AssertionError(("class-polynomial" if kind == "rep" else
                                   "dual class-polynomial")
@@ -378,7 +376,7 @@ def representative_dependence_report(ctx, polys, budget=50_000):
         base = polys.f_polys(w, check_residual=False)
         for info in polys.classes:
             a = base[info.label]
-            b = sol.get(info.label, ctx.ring.zero())
+            b = sol[info.label]
             if not ctx.ring.is_zero(a - b):
                 diffs.append({
                     "w": w.to_json(),

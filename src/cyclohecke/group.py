@@ -16,6 +16,9 @@ $t_{0,a_0} t_{1,a_1} \cdots t_{n-1,a_{n-1}} v$ with $0 \le a_i < r$ and
 $v \in \mathfrak{S}_n$, where $t_{k,a} = s_k s_{k-1} \cdots s_1 t^a$ (reading
 left to right) and $t_{k,0} = 1$.  These words are reduced, so the length of
 an element is $\sum_{a_i > 0} (i + a_i)$ plus the Coxeter length of $v$.
+``length`` reads it off the parts $(a, v)$, which are computed on the raw
+color and permutation tuples with no word and no group product;
+``bm_normal_form`` builds its word from the same parts.
 The double-coset (DC) normal form peels one level: $w = a \cdot d \cdot b$
 with $a, b \in W_{n-1}$, $d \in \{1, s_{n-1}, s'_{n-1,1}, .., s'_{n-1,r-1}\}$
 and additive lengths, where $s'_{k,l} = s_k \cdots s_1 t^l s_1 \cdots s_k$ is
@@ -161,10 +164,6 @@ class GroupElement:
         """True when the element lies in W_m (fixes positions > m, color 0)."""
         return all(self.perm[i] == i + 1 and self.colors[i] == 0
                    for i in range(m, self.params.n))
-
-    def row_color(self, row):
-        """Color of the unique nonzero entry in the given matrix row."""
-        return self.colors[perm_inverse(self.perm)[row - 1] - 1]
 
     def __eq__(self, other):
         return (
@@ -330,28 +329,53 @@ class BMNormalForm:
     word: tuple         # fixed reduced word for the whole element
 
     def length(self):
-        return sum(i + ai for i, ai in enumerate(self.a) if ai) + perm_inversions(self.v)
+        return _bm_length(self.a, self.v)
+
+
+def _bm_parts(w):
+    """The BM parts (a, v) of w, computed on its color and permutation
+    tuples without forming a GroupElement.
+
+    ``a_i`` is the color of row i+1 and ``v`` the permutation of
+    prefix^{-1} w, prefix = t_{0,a_0} .. t_{n-1,a_{n-1}}.  The inverse
+    t_{k,a}^{-1} carries color -a in position k+1 and permutation
+    j -> j+1 (j <= k), k+1 -> 1, so by the product law left multiplication
+    by it subtracts a from the column sent to row k+1, moves that column to
+    row 1 and moves rows 1..k one row down.  prefix^{-1} w is built this
+    way, one factor at a time starting from t_{0,a_0}^{-1}.
+    """
+    a = [0] * w.params.n
+    for col, row in enumerate(w.perm):
+        a[row - 1] = w.colors[col]
+    colors, perm = list(w.colors), list(w.perm)
+    for k, ak in enumerate(a):
+        if ak:
+            for i, row in enumerate(perm):
+                if row == k + 1:
+                    colors[i] -= ak
+                    perm[i] = 1
+                elif row <= k:
+                    perm[i] = row + 1
+    if any(c % w.params.r for c in colors):
+        raise AssertionError("torus prefix failed to absorb the colors")
+    return tuple(a), tuple(perm)
+
+
+def _bm_length(a, v):
+    return sum(i + ai for i, ai in enumerate(a) if ai) + perm_inversions(v)
 
 
 def bm_normal_form(w):
     """Unique decomposition w = t_{0,a_0} .. t_{n-1,a_{n-1}} v."""
-    params = w.params
-    a = tuple(w.row_color(i + 1) for i in range(params.n))
-    prefix = GroupElement.identity(params)
-    for i, ai in enumerate(a):
-        prefix = prefix * t_ka(params, i, ai)
-    v = prefix.inverse() * w
-    if not v.is_plain():
-        raise AssertionError("torus prefix failed to absorb the colors")
+    a, v = _bm_parts(w)
     word = tuple(x for i, ai in enumerate(a) for x in t_word(i, ai))
-    word += coxeter_word(v.perm)
-    return BMNormalForm(a, v.perm, word)
+    return BMNormalForm(a, v, word + coxeter_word(v))
 
 
 def length(w):
-    """Distance from the identity in the Cayley graph on {t, s_1, .., s_{n-1}}."""
-    bm = bm_normal_form(w)
-    return bm.length()
+    """Distance from the identity in the Cayley graph on {t, s_1, .., s_{n-1}},
+    read off the BM parts (a, v) without forming a word or a group product."""
+    return _bm_length(*_bm_parts(w))
 
 
 def bm_word(w):

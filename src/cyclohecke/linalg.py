@@ -35,7 +35,8 @@ class SubspaceBasis:
         when target == source."""
 
     def _reduce(self, vec, record):
-        vec = {c: v for c, v in vec.items() if not self.ring.is_zero(v)}
+        is_zero = self.ring.is_zero
+        vec = {c: v for c, v in vec.items() if not is_zero(v)}
         for col, row in self.rows.items():
             coeff = vec.get(col)
             if coeff is not None:
@@ -98,10 +99,13 @@ def nullspace(ring, rows, columns):
 
 
 def _subtract_multiple(ring, row, coeff, prow):
-    """row -= coeff * prow, in place, dropping entries that vanish."""
+    """row -= coeff * prow, in place, dropping entries that vanish.  An entry
+    that row lacks becomes -(coeff * v) with no zero to subtract from."""
+    is_zero = ring.is_zero
     for c, v in prow.items():
-        new = row.get(c, ring.zero()) - coeff * v
-        if ring.is_zero(new):
+        old = row.get(c)
+        new = -(coeff * v) if old is None else old - coeff * v
+        if is_zero(new):
             row.pop(c, None)
         else:
             row[c] = new
@@ -122,8 +126,10 @@ class Elimination(SubspaceBasis):
     right-hand side costs only a replay of the row operations.
 
     The matrix is a list of sparse rows over column labels; rows may
-    outnumber columns.  Raises ArithmeticError when the columns are
-    dependent.
+    outnumber columns.  The unknowns are the keys of the rows, explicit
+    zeros included: a column that is zero in every row still counts, so a
+    caller that lists every unknown in every row gets an ArithmeticError,
+    never a missing entry, when the columns are dependent.
     """
 
     def __init__(self, ring, matrix):

@@ -235,8 +235,10 @@ class Cyc:
         )
 
     def __hash__(self):
+        # a rational value equals its Fraction and hashes like it
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.e, self.coeffs)))
+            object.__setattr__(self, "_hash", hash(self.coeffs[0]) if self.is_rational()
+                               else hash((self.e, self.coeffs)))
         return self._hash
 
     def __repr__(self):
@@ -418,9 +420,12 @@ class Laurent:
         )
 
     def __hash__(self):
+        # a constant equals its int and hashes like it
         if self._hash is None:
+            terms, origin = self.terms, (0,) * (self.nq + 1)
             object.__setattr__(
-                self, "_hash", hash((self.nq, frozenset(self.terms.items())))
+                self, "_hash", hash(terms.get(origin, 0)) if terms.keys() <= {origin}
+                else hash((self.nq, frozenset(terms.items())))
             )
         return self._hash
 
@@ -654,11 +659,17 @@ class LaurentFrac:
 
     def __hash__(self):
         # extreme terms multiply under products, so a d = c b makes these
-        # ratios equal for every representation a/b = c/d of one value
+        # ratios equal for every representation a/b = c/d of one value;
+        # when both are (zero exponent, c) the value is the constant c, and
+        # it hashes like the Fraction c it equals
         if self._hash is None:
-            key = None if self.is_zero() else \
-                (self._extreme_term(max), self._extreme_term(min))
-            object.__setattr__(self, "_hash", hash((self.nq, key)))
+            if self.is_zero():
+                h = hash(0)
+            else:
+                lead, trail = self._extreme_term(max), self._extreme_term(min)
+                h = hash(lead[1]) if lead == trail and not any(lead[0]) \
+                    else hash((self.nq, lead, trail))
+            object.__setattr__(self, "_hash", h)
         return self._hash
 
     def __repr__(self):

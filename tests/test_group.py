@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclohecke.group import (
     BudgetExceeded,
@@ -15,6 +17,7 @@ from cyclohecke.group import (
     enumerate_classes,
     enumerate_group,
     eval_word,
+    gen_element,
     is_alpha_form,
     length,
     parse_word,
@@ -28,7 +31,7 @@ from cyclohecke.group import (
 )
 from cyclohecke.tableaux import compositions, enumerate_multipartitions
 
-SIZES = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]
+SIZES = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3), (3, 4), (1, 5)]
 
 
 def test_eval_word_examples():
@@ -99,6 +102,21 @@ def test_bm_bijection_and_length_oracle(r, n):
         assert key not in seen
         seen.add(key)
     assert len(seen) == P.order
+
+
+@pytest.mark.parametrize("r,n", [(2, 6), (4, 6), (3, 7)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bm_word_and_length_beyond_bfs(r, n, data):
+    P = GroupParams(r, n)
+    colors = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    w = GroupElement(P, colors, perm)
+    bm = bm_normal_form(w)
+    assert eval_word(P, bm.word) == w
+    assert length(w) == len(bm.word) == bm.length()
+    for token in range(n):
+        assert length(w * gen_element(P, token)) <= length(w) + 1
 
 
 def test_length_special_elements():

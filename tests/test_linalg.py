@@ -74,6 +74,9 @@ def test_singular_and_inconsistent_systems_raise():
         solve(ring, singular, [Fraction(1), Fraction(2)])
     with pytest.raises(ArithmeticError):
         Elimination(ring, singular)
+    # an explicit zero column is an unknown, so this system is singular too
+    with pytest.raises(ArithmeticError):
+        Elimination(ring, [{0: Fraction(1), 1: Fraction(0)}] * 2)
     with pytest.raises(ArithmeticError):
         invert_matrix(ring, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
     with pytest.raises(ArithmeticError):

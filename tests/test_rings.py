@@ -287,3 +287,39 @@ def test_ring_axioms_and_hash_consistency(ring, data):
     for x, y in equal_pairs:
         assert x == y
         assert hash(x) == hash(y)
+
+
+def _constant(ring, c):
+    """The constant c of the ring; the Laurent ring has integer constants."""
+    if ring.kind == "cyclotomic":
+        return Cyc.from_rational(ring.e, c)
+    if ring.kind == "laurent":
+        return Laurent.const(ring.nq, c)
+    if ring.kind == "fraction-of-laurent":
+        return LaurentFrac.const(ring.nq, c)
+    return Fraction(c)
+
+
+def test_constants_hash_like_integers_example():
+    assert len({Cyc.from_rational(3, 5), 5}) == 1
+    assert len({Laurent.const(1, 5), 5}) == 1
+    assert len({LaurentFrac.const(1, 5), 5}) == 1
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.kind)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_constants_hash_like_rationals(ring, data):
+    integral = ring.kind == "laurent"
+    c = Fraction(data.draw(_small if integral else
+                           st.fractions(min_value=-5, max_value=5, max_denominator=4)))
+    p = data.draw(_element(ring).filter(lambda v: not ring.is_zero(v)))
+    x = _constant(ring, int(c) if integral else c)
+    # the same constant reached through arithmetic, in another representation
+    y = x + p - p if integral else (x * p) / p
+    for value in (x, y):
+        if not integral:
+            assert value == c and hash(value) == hash(c) and len({value, c}) == 1
+        if c.denominator == 1:
+            k = int(c)
+            assert value == k and hash(value) == hash(k) and len({value, k}) == 1
