@@ -274,6 +274,8 @@ def criterion_center_dims(level="full"):
             ("semisimple", 2, 3, Fraction(2), [Fraction(1), Fraction(100)]),
             ("non-semisimple", 1, 4, Fraction(-1), [Fraction(1)]),
             ("non-semisimple", 2, 3, Fraction(-1), [Fraction(1), Fraction(-1)]),
+            ("semisimple", 2, 4, Fraction(2), [Fraction(1), Fraction(100)]),
+            ("non-semisimple", 2, 4, Fraction(-1), [Fraction(1), Fraction(-1)]),
         ]
     checks = []
     for tag, r, n, xi, qs in cases:

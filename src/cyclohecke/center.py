@@ -35,7 +35,13 @@ from .group import (
     phi_inverse,
     w_alpha,
 )
-from .hecke import HeckeElement, _bump, t_element
+from .hecke import (
+    HeckeElement,
+    _bump,
+    _lmul_gen_index,
+    _rmul_gen_index,
+    t_element,
+)
 from .linalg import Elimination, SubspaceBasis, invert_matrix, nullspace
 from .seminormal import SeminormalData
 from .tableaux import enumerate_multipartitions
@@ -65,15 +71,12 @@ def class_data(params):
 # -- subspaces ----------------------------------------------------------------
 
 def _index_commutator(ctx, idx, token):
-    from .hecke import _lmul_gen_index, _rmul_gen_index
     vec = {}
     for idx2, coeff in _rmul_gen_index(ctx, idx, token):
-        cur = vec.get(idx2, ctx.ring.zero())
-        vec[idx2] = cur + coeff
+        _bump(ctx, vec, idx2, coeff)
     for idx2, coeff in _lmul_gen_index(ctx, token, idx):
-        cur = vec.get(idx2, ctx.ring.zero())
-        vec[idx2] = cur - coeff
-    return {i: c for i, c in vec.items() if not ctx.ring.is_zero(c)}
+        _bump(ctx, vec, idx2, -coeff)
+    return vec
 
 
 def commutator_subspace(ctx):

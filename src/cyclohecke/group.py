@@ -115,10 +115,15 @@ class GroupElement:
         perm = tuple(perm)
         if len(colors) != params.n or sorted(perm) != list(range(1, params.n + 1)):
             raise GroupError("malformed colored permutation")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "_hash", None)
+        _fill(self, params, colors, perm)
+
+    @staticmethod
+    def _product(params, colors, perm):
+        """An element built from a product law result: the colors are
+        reduced mod r and the permutation tuple is trusted unchecked."""
+        out = object.__new__(GroupElement)
+        _fill(out, params, tuple(c % params.r for c in colors), perm)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("GroupElement is immutable")
@@ -144,14 +149,14 @@ class GroupElement:
 
     def __mul__(self, other):
         o = self._check(other)
-        colors = tuple(o.colors[i] + self.colors[o.perm[i] - 1]
-                       for i in range(self.params.n))
-        return GroupElement(self.params, colors, perm_compose(self.perm, o.perm))
+        colors = (o.colors[i] + self.colors[o.perm[i] - 1]
+                  for i in range(self.params.n))
+        return GroupElement._product(self.params, colors, perm_compose(self.perm, o.perm))
 
     def inverse(self):
         inv = perm_inverse(self.perm)
-        colors = tuple(-self.colors[inv[i] - 1] for i in range(self.params.n))
-        return GroupElement(self.params, colors, inv)
+        colors = (-self.colors[inv[i] - 1] for i in range(self.params.n))
+        return GroupElement._product(self.params, colors, inv)
 
     def is_identity(self):
         return all(c == 0 for c in self.colors) and self.perm == perm_identity(self.params.n)
@@ -187,6 +192,13 @@ class GroupElement:
     @staticmethod
     def from_json(params, payload):
         return GroupElement(params, payload["colors"], payload["perm"])
+
+
+def _fill(elt, params, colors, perm):
+    object.__setattr__(elt, "params", params)
+    object.__setattr__(elt, "colors", colors)
+    object.__setattr__(elt, "perm", perm)
+    object.__setattr__(elt, "_hash", None)
 
 
 # -- words -------------------------------------------------------------------

@@ -3,18 +3,38 @@ Sparse exact linear algebra over the coefficient fields.
 
 Vectors are dicts ``{column: coefficient}``.  There is one elimination,
 ``SubspaceBasis``: a reduced row-echelon basis keyed by pivot columns, in
-which every stored row is 1 at its pivot and 0 at every other pivot.  That
-invariant is what lets a vector be reduced in one pass over the pivots.
-Pivots prefer entries with few terms and structurally small coefficients to
-limit expression swell in the function-field cases.
+which every stored row is nonzero at its pivot and 0 at every other pivot.
+That invariant is what lets a vector be reduced in one pass that visits only
+the pivots the vector itself carries: clearing one pivot never changes the
+vector at another.
+
+Over Q (the ``rational`` and ``rational-specialization`` kinds) a stored row
+is a primitive integer vector with a positive pivot.  A vector is cleared to
+integers with the lcm of its denominators and reduced by the cross-multiplied
+update ``v = a v - c row``, ``(a, c) = (row[p], v[p]) / gcd``, so the loop
+builds no ``Fraction``; ``add`` divides each new and back-substituted row by
+its content.  Over the other fields a stored row is scaled to 1 at its pivot
+and the update is ``v -= v[p] row``.  Either way ``rows`` shows rows that are
+1 at their pivot, and ``reduce`` returns the exact remainder.  Pivots prefer
+entries with few terms, which limits expression swell in the function-field
+cases; over Q every entry has the same size, so the smallest column wins.
 
 Everything else reads a ``SubspaceBasis``: ``nullspace`` takes the free
 columns of the row space, ``Elimination`` records each row operation of the
 echelon build so that a right-hand side costs only a replay, and ``solve``
-and ``invert_matrix`` are replays of an ``Elimination``.
+and ``invert_matrix`` are replays of an ``Elimination``.  ``Elimination``
+keeps field rows over every ring: its recorded multipliers are replayed on
+``Fraction`` right-hand sides, and integer rows would record more operations
+for the replay to run.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from operator import not_
+
+_RATIONAL_KINDS = ("rational", "rational-specialization")
 
 
 class SubspaceBasis:
@@ -22,51 +42,110 @@ class SubspaceBasis:
 
     def __init__(self, ring):
         self.ring = ring
-        self.rows = {}        # pivot column -> row, 1 at its pivot, 0 at other pivots
+        self._integral = ring.kind in _RATIONAL_KINDS
+        self._rows = {}       # pivot column -> stored row, 0 at other pivots
+        self._fractions = None
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """{pivot column: row}, each row 1 at its pivot and 0 at every other
+        pivot.  Over Q this is built from the integer rows on first use after
+        an ``add``."""
+        if not self._integral:
+            return self._rows
+        if self._fractions is None:
+            self._fractions = {
+                pivot: {c: Fraction(v, row[pivot]) for c, v in row.items()}
+                for pivot, row in self._rows.items()}
+        return self._fractions
 
     def _record(self, target, source, coeff):
-        """Hook called on every row operation of ``add``.  Rows are named by
-        pivot column, None being the vector under insertion; the operation
-        is ``row[target] -= coeff * row[source]``, or ``row[target] *= coeff``
-        when target == source."""
+        """Hook called on every row operation of ``add`` over field rows.
+        Rows are named by pivot column, None being the vector under
+        insertion; the operation is ``row[target] -= coeff * row[source]``,
+        or ``row[target] *= coeff`` when target == source."""
+
+    def _eliminate(self, vec, col, row):
+        """Clear vec[col] in place with the stored row of pivot col; returns
+        the factor that vec was multiplied by.  Over field rows this is
+        vec -= vec[col] * row.  Over Q it is vec = a * vec - c * row with
+        (a, c) = (row[col], vec[col]) / gcd, so that no Fraction is built."""
+        coeff = vec[col]
+        scale = 1
+        if self._integral:
+            g = gcd(row[col], coeff)
+            scale, coeff = row[col] // g, coeff // g
+            if scale != 1:
+                for c in vec:
+                    vec[c] *= scale
+        _subtract_multiple(not_ if self._integral else self.ring.is_zero,
+                           vec, coeff, row)
+        return scale
+
+    def _normalise(self, rem, pivot):
+        """The stored form of a row: over Q divided by its content with a
+        positive pivot, elsewhere scaled to 1 at the pivot."""
+        if self._integral:
+            content = gcd(*rem.values())
+            if rem[pivot] < 0:
+                content = -content
+            return rem if content == 1 else {c: v // content for c, v in rem.items()}
+        inv = self.ring.invert(rem[pivot])
+        self._record(None, None, inv)
+        return {c: v * inv for c, v in rem.items()}
 
     def _reduce(self, vec, record):
-        is_zero = self.ring.is_zero
-        vec = {c: v for c, v in vec.items() if not is_zero(v)}
-        for col, row in self.rows.items():
-            coeff = vec.get(col)
-            if coeff is not None:
-                _subtract_multiple(self.ring, vec, coeff, row)
-                if record:
-                    self._record(None, col, coeff)
-        return vec
+        """(rem, scale) with rem / scale the remainder of vec.  Over Q, rem
+        is an integer vector; elsewhere scale is 1.  Only the pivots that vec
+        carries are visited: a stored row is 0 at every other pivot, so
+        clearing one pivot never changes vec at another."""
+        rows = self._rows
+        if self._integral:
+            scale = lcm(*(v.denominator for v in vec.values()))
+            vec = {c: v.numerator * (scale // v.denominator)
+                   for c, v in vec.items() if v}
+        else:
+            is_zero = self.ring.is_zero
+            scale = 1
+            vec = {c: v for c, v in vec.items() if not is_zero(v)}
+        for col in [c for c in vec if c in rows]:
+            coeff = vec[col]
+            scale *= self._eliminate(vec, col, rows[col])
+            if record:
+                self._record(None, col, coeff)
+        return vec, scale
 
     def reduce(self, vec):
         """Remainder of vec against the current basis."""
-        return self._reduce(vec, False)
+        rem, scale = self._reduce(vec, False)
+        if self._integral:
+            return {c: Fraction(v, scale) for c, v in rem.items()}
+        return rem
 
     def contains(self, vec):
-        return not self._reduce(vec, False)
+        return not self._reduce(vec, False)[0]
 
     def add(self, vec):
         """Insert a vector; returns True when the rank grew."""
-        rem = self._reduce(vec, True)
+        rem, _ = self._reduce(vec, True)
         if not rem:
             return False
         pivot = min(rem, key=lambda col: (_size(rem[col]), col))
-        inv = self.ring.invert(rem[pivot])
-        row = {c: v * inv for c, v in rem.items()}
-        self._record(None, None, inv)
-        for col, row2 in self.rows.items():
+        row = self._normalise(rem, pivot)
+        rows = self._rows
+        for col, row2 in rows.items():
             coeff = row2.get(pivot)
             if coeff is not None:
-                _subtract_multiple(self.ring, row2, coeff, row)
+                self._eliminate(row2, pivot, row)
                 self._record(col, None, coeff)
-        self.rows[pivot] = row
+                if self._integral:
+                    rows[col] = self._normalise(row2, col)
+        rows[pivot] = row
+        self._fractions = None
         return True
 
     def vectors(self):
@@ -98,10 +177,9 @@ def nullspace(ring, rows, columns):
     return sols
 
 
-def _subtract_multiple(ring, row, coeff, prow):
+def _subtract_multiple(is_zero, row, coeff, prow):
     """row -= coeff * prow, in place, dropping entries that vanish.  An entry
     that row lacks becomes -(coeff * v) with no zero to subtract from."""
-    is_zero = ring.is_zero
     for c, v in prow.items():
         old = row.get(c)
         new = -(coeff * v) if old is None else old - coeff * v
@@ -134,6 +212,8 @@ class Elimination(SubspaceBasis):
 
     def __init__(self, ring, matrix):
         super().__init__(ring)
+        # field rows over every ring: the replay needs field multipliers
+        self._integral = False
         self.ops = []         # (target, source, coeff): b[t] -= coeff b[s];
                               # (target, None, inv): b[t] *= inv
         self.pivots = {}      # pivot column -> row number

@@ -7,6 +7,7 @@ from conftest import fraction_context, spec_context
 from cyclohecke.center import (
     ClassPolynomials,
     DualBasis,
+    _index_commutator,
     alternative_representatives,
     center,
     center_bases_yz,
@@ -59,6 +60,16 @@ def test_center_and_cocenter_dimensions(r, n, xi, qs, classes):
     x = ctx.generator(0) * ctx.generator(1)
     assert comm.contains((x * x - x * x).terms)
     assert comm.contains(x.commutator(ctx.generator(1)).terms)
+
+
+@pytest.mark.parametrize("make", [spec_context, fraction_context])
+def test_index_commutator_matches_hecke_commutators(make):
+    ctx = make(2, 2)
+    for token in range(ctx.params.n):
+        gen = ctx.generator(token)
+        for idx in ctx.basis_indices():
+            want = ctx.from_index(idx).commutator(gen).terms
+            assert _index_commutator(ctx, idx, token) == want
 
 
 def test_center_commutator_tau_duality():

@@ -119,6 +119,32 @@ def test_bm_word_and_length_beyond_bfs(r, n, data):
         assert length(w * gen_element(P, token)) <= length(w) + 1
 
 
+def _draw_element(data, params):
+    colors = data.draw(st.lists(st.integers(0, params.r - 1),
+                                min_size=params.n, max_size=params.n))
+    perm = data.draw(st.permutations(range(1, params.n + 1)))
+    return GroupElement(params, colors, perm)
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 5), (4, 6)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_and_inverses_match_validated_elements(r, n, data):
+    P = GroupParams(r, n)
+    a, b = _draw_element(data, P), _draw_element(data, P)
+    # the product law with unreduced colors, through the validating constructor
+    product = GroupElement(P, [b.colors[i] + a.colors[b.perm[i] - 1] for i in range(n)],
+                           [a.perm[b.perm[i] - 1] for i in range(n)])
+    inv = sorted(range(1, n + 1), key=lambda i: a.perm[i - 1])
+    inverse = GroupElement(P, [-a.colors[inv[i] - 1] for i in range(n)], inv)
+    for built, checked in ((a * b, product), (a.inverse(), inverse)):
+        assert built == checked and hash(built) == hash(checked)
+        assert built.colors == checked.colors and built.perm == checked.perm
+        assert type(built.colors) is tuple and type(built.perm) is tuple
+    assert (a * a.inverse()).is_identity()
+    assert (a.inverse() * a).is_identity()
+
+
 def test_length_special_elements():
     P = GroupParams(4, 4)
     assert length(GroupElement.identity(P)) == 0

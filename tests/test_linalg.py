@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fraction_context, spec_context
 
@@ -124,3 +127,76 @@ def test_stored_rows_are_unit_at_own_pivot_and_zero_at_others(seed):
         assert not basis.reduce(vec)
     outside = {8: Fraction(1)}
     assert basis.reduce(outside) == outside and not basis.contains(outside)
+
+
+# -- the kernel over Q, against a dense Fraction Gauss-Jordan --------------------
+
+_NCOLS = 8
+_fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+_sparse = st.dictionaries(st.integers(0, _NCOLS - 1), _fractions, max_size=5)
+
+
+@st.composite
+def _vectors(draw):
+    """Sparse vectors, some of them combinations of earlier ones."""
+    out = draw(st.lists(_sparse, min_size=1, max_size=7))
+    picks = st.tuples(st.integers(0, len(out) - 1), st.integers(0, len(out) - 1),
+                      _fractions, _fractions)
+    for i, j, a, b in draw(st.lists(picks, max_size=4)):
+        out.append({c: a * out[i].get(c, 0) + b * out[j].get(c, 0)
+                    for c in set(out[i]) | set(out[j])})
+    return out
+
+
+def _dense_rank(vectors):
+    m = [[v.get(c, Fraction(0)) for c in range(_NCOLS)] for v in vectors]
+    rank = 0
+    for col in range(_NCOLS):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("ring", [RingSpec.rational(),
+                                  RingSpec.specialized(2, [1, 100])],
+                         ids=["rational", "specialized"])
+@settings(max_examples=80, deadline=None)
+@given(vectors=_vectors(), probe=_sparse)
+def test_kernel_over_q_matches_dense_gauss_jordan(ring, vectors, probe):
+    basis = SubspaceBasis(ring)
+    for k, vec in enumerate(vectors):
+        basis.add(vec)
+        for piv, row in basis.rows.items():
+            assert row[piv] == 1
+            assert all(other == piv or other not in row for other in basis.rows)
+        for piv, row in basis._rows.items():
+            assert all(type(v) is int for v in row.values())
+            assert row[piv] > 0 and math.gcd(*row.values()) == 1
+        assert all(basis.contains(v) for v in vectors[:k + 1])
+    assert basis.rank == _dense_rank(vectors)
+
+    rows = basis.rows
+    for vec in vectors + [probe]:
+        rem = basis.reduce(vec)
+        assert all(type(v) is Fraction and v for v in rem.values())
+        assert not set(rem) & set(rows)
+        diff = {c: vec.get(c, 0) - rem.get(c, 0) for c in set(vec) | set(rem)}
+        assert basis.contains(diff)
+        want = {c: Fraction(v) for c, v in vec.items()}
+        for piv, row in rows.items():
+            for c, v in row.items():
+                want[c] = want.get(c, 0) - vec.get(piv, 0) * v
+        assert rem == {c: v for c, v in want.items() if v}
+
+    sols = nullspace(ring, vectors, range(_NCOLS))
+    assert len(sols) == _NCOLS - basis.rank
+    for sol in sols:
+        for vec in vectors:
+            assert _dot(ring, vec, sol) == 0
