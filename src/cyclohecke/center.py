@@ -79,10 +79,17 @@ def _index_commutator(ctx, idx, token):
     return vec
 
 
+def _commutator_tokens(params):
+    """The generator tokens in the order their commutators enter an echelon:
+    the sparse T_i commutators first, so that the T_0 ones reduce against
+    them and back-substitution touches fewer stored rows."""
+    return tuple(range(1, params.n)) + (0,)
+
+
 def commutator_subspace(ctx):
     """Row-echelon basis of [H, H]."""
     basis = SubspaceBasis(ctx.ring)
-    for token in range(ctx.params.n):
+    for token in _commutator_tokens(ctx.params):
         for idx in ctx.basis_indices():
             basis.add(_index_commutator(ctx, idx, token))
     return basis
@@ -92,7 +99,7 @@ def center(ctx):
     """The center as a list of HeckeElements plus its echelon basis."""
     columns = list(ctx.basis_indices())
     rows = {}
-    for token in range(ctx.params.n):
+    for token in _commutator_tokens(ctx.params):
         for idx in columns:
             for idx2, coeff in _index_commutator(ctx, idx, token).items():
                 rows.setdefault((token, idx2), {})[idx] = coeff

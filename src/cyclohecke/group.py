@@ -11,6 +11,16 @@ roots of unity.  The composition law is
 Generators: ``t`` colors position 1, ``s_i`` swaps positions i, i+1.
 Words are tuples of integer tokens, 0 for ``t`` and i for ``s_i``.
 
+Generator actions.  Multiplying by a power of one generator needs no product
+law: on the tuples it is an O(n) edit.  On the right (``rmul_gen``), ``t^p``
+adds p to the color of position 1 and ``s_i`` exchanges positions i and i+1
+of both tuples; on the left (``lmul_gen``), ``t^p`` adds p to the color of
+the column sent to row 1 and ``s_i`` exchanges the values i and i+1 of the
+permutation.  The results, like products, inverses and the constants
+``identity``, ``gen_t`` and ``gen_s``, hold the element's invariants by
+construction, so they are built unchecked; ``GroupElement(...)`` validates
+outside input.  ``eval_word`` applies the right actions to one pair of lists.
+
 Normal forms.  Every element has a unique Bremke-Malle (BM) normal form
 $t_{0,a_0} t_{1,a_1} \cdots t_{n-1,a_{n-1}} v$ with $0 \le a_i < r$ and
 $v \in \mathfrak{S}_n$, where $t_{k,a} = s_k s_{k-1} \cdots s_1 t^a$ (reading
@@ -118,11 +128,11 @@ class GroupElement:
         _fill(self, params, colors, perm)
 
     @staticmethod
-    def _product(params, colors, perm):
-        """An element built from a product law result: the colors are
-        reduced mod r and the permutation tuple is trusted unchecked."""
+    def _trusted(params, colors, perm):
+        """An element from tuples that already hold its invariants (colors
+        in 0..r-1, perm a permutation of 1..n); nothing is checked."""
         out = object.__new__(GroupElement)
-        _fill(out, params, tuple(c % params.r for c in colors), perm)
+        _fill(out, params, colors, perm)
         return out
 
     def __setattr__(self, *a):
@@ -130,17 +140,18 @@ class GroupElement:
 
     @staticmethod
     def identity(params):
-        return GroupElement(params, (0,) * params.n, perm_identity(params.n))
+        return GroupElement._trusted(params, (0,) * params.n, perm_identity(params.n))
 
     @staticmethod
     def gen_t(params):
-        return GroupElement(params, (1,) + (0,) * (params.n - 1), perm_identity(params.n))
+        return GroupElement._trusted(
+            params, (1 % params.r,) + (0,) * (params.n - 1), perm_identity(params.n))
 
     @staticmethod
     def gen_s(params, i):
         if not 1 <= i <= params.n - 1:
             raise GroupError(f"s_{i} out of range for n={params.n}")
-        return GroupElement(params, (0,) * params.n, perm_transposition(params.n, i))
+        return GroupElement._trusted(params, (0,) * params.n, perm_transposition(params.n, i))
 
     def _check(self, other):
         if not isinstance(other, GroupElement) or other.params != self.params:
@@ -149,14 +160,40 @@ class GroupElement:
 
     def __mul__(self, other):
         o = self._check(other)
-        colors = (o.colors[i] + self.colors[o.perm[i] - 1]
-                  for i in range(self.params.n))
-        return GroupElement._product(self.params, colors, perm_compose(self.perm, o.perm))
+        r = self.params.r
+        colors = tuple((o.colors[i] + self.colors[o.perm[i] - 1]) % r
+                       for i in range(self.params.n))
+        return GroupElement._trusted(self.params, colors, perm_compose(self.perm, o.perm))
 
     def inverse(self):
         inv = perm_inverse(self.perm)
-        colors = (-self.colors[inv[i] - 1] for i in range(self.params.n))
-        return GroupElement._product(self.params, colors, inv)
+        r = self.params.r
+        colors = tuple(-self.colors[inv[i] - 1] % r for i in range(self.params.n))
+        return GroupElement._trusted(self.params, colors, inv)
+
+    def rmul_gen(self, token, power=1):
+        """self * g**power for the generator g of the given token."""
+        colors, perm = list(self.colors), list(self.perm)
+        _act_right(self.params, colors, perm, token, power)
+        return GroupElement._trusted(self.params, tuple(colors), tuple(perm))
+
+    def lmul_gen(self, token, power=1):
+        """g**power * self for the generator g of the given token: t adds
+        power to the color of the column sent to row 1, s_i exchanges the
+        values i and i+1 of the permutation."""
+        params = self.params
+        _check_token(params, token)
+        if token == 0:
+            colors = list(self.colors)
+            col = self.perm.index(1)
+            colors[col] = (colors[col] + power) % params.r
+            return GroupElement._trusted(params, tuple(colors), self.perm)
+        if power % 2 == 0:
+            return self
+        perm = list(self.perm)
+        a, b = perm.index(token), perm.index(token + 1)
+        perm[a], perm[b] = token + 1, token
+        return GroupElement._trusted(params, self.colors, tuple(perm))
 
     def is_identity(self):
         return all(c == 0 for c in self.colors) and self.perm == perm_identity(self.params.n)
@@ -201,6 +238,24 @@ def _fill(elt, params, colors, perm):
     object.__setattr__(elt, "_hash", None)
 
 
+def _check_token(params, token):
+    if not 0 <= token <= params.n - 1:
+        raise GroupError(f"generator token {token} out of range for n={params.n}")
+
+
+def _act_right(params, colors, perm, token, power):
+    """Right multiplication by g**power on color and permutation lists, in
+    place: t adds power to the color of position 1, s_i exchanges positions
+    i and i+1 of both lists."""
+    _check_token(params, token)
+    if token == 0:
+        colors[0] = (colors[0] + power) % params.r
+    elif power % 2:
+        i = token
+        colors[i - 1], colors[i] = colors[i], colors[i - 1]
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+
+
 # -- words -------------------------------------------------------------------
 
 def parse_word(params, text):
@@ -228,10 +283,10 @@ def gen_element(params, token):
 
 
 def eval_word(params, word):
-    out = GroupElement.identity(params)
+    colors, perm = [0] * params.n, list(perm_identity(params.n))
     for token in word:
-        out = out * gen_element(params, token)
-    return out
+        _act_right(params, colors, perm, token, 1)
+    return GroupElement._trusted(params, tuple(colors), tuple(perm))
 
 
 # -- special elements and their fixed reduced words --------------------------

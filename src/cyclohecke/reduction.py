@@ -36,6 +36,10 @@ $\ell(vy) = \ell(v) + \ell(y)$, exchanging adjacent uncolored blocks.  These
 are recorded separately as ``TailStep`` witnesses.
 
 Every certificate can be replayed independently via ``verify_certificate``.
+The engine produces its moves with the generator actions ``lmul_gen`` and
+``rmul_gen`` on the tuples; the replay recomputes each move with the general
+product law ``g * w * g^{-1}``, so every certificate checks the producer
+through a second code path.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .group import (
     ColoredSemiBicomposition,
     GroupElement,
     dc_normal_form,
+    eval_word,
     gen_element,
     length,
     theta_factorization,
@@ -131,14 +136,14 @@ class ReductionCertificate:
 
 def try_move(cur, token):
     """The admissible move conjugating by one generator, or None."""
-    g = gen_element(cur.params, token)
-    nxt = g * cur * g.inverse()
+    gw = cur.lmul_gen(token)
+    nxt = gw.rmul_gen(token, -1)
     len_before = length(cur)
     len_after = length(nxt)
     if len_after > len_before:
         return None
-    left = length(g * cur) < len_before
-    right = length(cur * g.inverse()) < len_before
+    left = length(gw) < len_before
+    right = length(cur.rmul_gen(token, -1)) < len_before
     if not (left or right):
         return None
     side = "both" if left and right else ("left" if left else "right")
@@ -321,26 +326,32 @@ def reduce_to_minimal(w, canonical=False):
 
 
 def verify_certificate(cert):
-    """Independent replay of a certificate. Returns (ok, detail)."""
+    """Independent replay of a certificate. Returns (ok, detail).
+
+    Each move is replayed with the general product law ``g * cur * g^-1``,
+    not with the generator actions that produced it, so that the replay
+    checks the producer through a second code path."""
     params = cert.start.params
     cur = cert.start
+    cur_len = length(cur)
     for idx, step in enumerate(cert.steps):
         if step.before != cur:
             return False, f"step {idx}: chain broken"
         g = gen_element(params, step.conjugator)
-        if g * cur * g.inverse() != step.after:
+        g_inv = g.inverse()
+        if g * cur * g_inv != step.after:
             return False, f"step {idx}: not a conjugation by the stated generator"
-        lb, la = length(cur), length(step.after)
+        lb, la = cur_len, length(step.after)
         if (lb, la) != (step.len_before, step.len_after):
             return False, f"step {idx}: recorded lengths are wrong"
         if la > lb:
             return False, f"step {idx}: length increased"
         left = length(g * cur) < lb
-        right = length(cur * g.inverse()) < lb
+        right = length(cur * g_inv) < lb
         want = {"left": left, "right": right, "both": left and right}.get(step.side)
         if not want:
             return False, f"step {idx}: recorded descent condition does not hold"
-        cur = step.after
+        cur, cur_len = step.after, la
     expect, _ = w_alpha(params, cert.terminal)
     if cur != expect or cur != cert.terminal_element:
         return False, "terminal element mismatch"
@@ -352,18 +363,17 @@ def verify_certificate(cert):
     for idx, step in enumerate(cert.tail):
         if step.before != cur:
             return False, f"tail step {idx}: chain broken"
-        from .group import eval_word
         y = eval_word(params, step.conjugator_word)
         if y.inverse() * cur * y != step.after:
             return False, f"tail step {idx}: not the stated strong conjugation"
-        if length(step.after) != length(cur):
+        if length(step.after) != cur_len:
             return False, f"tail step {idx}: length not preserved"
-        if length(cur * y) != length(cur) + length(y):
+        if length(cur * y) != cur_len + length(y):
             return False, f"tail step {idx}: length additivity fails"
         cur = step.after
-    if cert.canonical_element is not None:
-        if cur != cert.canonical_element:
-            return False, "canonical element mismatch"
-        if cur != w_alpha(params, cert.canonical)[0]:
-            return False, "canonical element is not w_beta"
+    if cert.canonical_element is not None and cur != cert.canonical_element:
+        return False, "canonical element mismatch"
+    if (cert.tail or cert.canonical_element is not None) \
+            and cur != w_alpha(params, cert.canonical)[0]:
+        return False, "tail does not end on w_beta"
     return True, "ok"

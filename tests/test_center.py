@@ -27,7 +27,8 @@ from cyclohecke.group import (
     length,
 )
 from cyclohecke.hecke import t_element
-from cyclohecke.linalg import SubspaceBasis
+from cyclohecke.linalg import SubspaceBasis, nullspace, span
+from cyclohecke.rings import RingSpec
 from cyclohecke.seminormal import SeminormalData
 
 
@@ -70,6 +71,44 @@ def test_index_commutator_matches_hecke_commutators(make):
         for idx in ctx.basis_indices():
             want = ctx.from_index(idx).commutator(gen).terms
             assert _index_commutator(ctx, idx, token) == want
+
+
+def _generator_order_reference(ctx):
+    """[H, H] and the center nullspace with the commutators in token order
+    0..n-1."""
+    pairs = [(token, idx) for token in range(ctx.params.n)
+             for idx in ctx.basis_indices()]
+    comm = span(ctx.ring, [_index_commutator(ctx, idx, token) for token, idx in pairs])
+    rows = {}
+    for token, idx in pairs:
+        for idx2, coeff in _index_commutator(ctx, idx, token).items():
+            rows.setdefault((token, idx2), {})[idx] = coeff
+    return comm, nullspace(ctx.ring, list(rows.values()), list(ctx.basis_indices()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spec_context(2, 3),
+    lambda: spec_context(2, 3, Fraction(-1), [Fraction(1), Fraction(-1)]),
+    lambda: spec_context(3, 3),
+    lambda: spec_context(3, 3, Fraction(-1), [Fraction(1), Fraction(-1), Fraction(1)]),
+    lambda: context_for_weight(2, 3, 3, (0, 1)),
+], ids=["2-3-xi2", "2-3-xi-1", "3-3-xi2", "3-3-xi-1", "2-3-cyclo3"])
+def test_token_order_does_not_change_the_echelon(make):
+    ctx = make()
+    comm, sols = _generator_order_reference(ctx)
+    assert commutator_subspace(ctx).vectors() == comm.vectors()
+    assert [z.terms for z in center(ctx)[0]] == sols
+
+
+def test_token_order_over_the_fraction_field_keeps_the_span():
+    ctx = fraction_context(3, 2)
+    comm, sols = _generator_order_reference(ctx)
+    new = commutator_subspace(ctx)
+    assert new.rank == comm.rank == ctx.dimension - 9
+    assert spans_equal(new, comm)
+    elements, zbasis = center(ctx)
+    assert zbasis.rank == len(sols) == 9
+    assert spans_equal(zbasis, span(ctx.ring, sols))
 
 
 def test_center_commutator_tau_duality():

@@ -126,15 +126,22 @@ def _draw_element(data, params):
     return GroupElement(params, colors, perm)
 
 
+def _validated_product(a, b):
+    """a * b by the product law with unreduced colors, built through the
+    validating constructor."""
+    n = a.params.n
+    return GroupElement(a.params,
+                        [b.colors[i] + a.colors[b.perm[i] - 1] for i in range(n)],
+                        [a.perm[b.perm[i] - 1] for i in range(n)])
+
+
 @pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 5), (4, 6)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_products_and_inverses_match_validated_elements(r, n, data):
     P = GroupParams(r, n)
     a, b = _draw_element(data, P), _draw_element(data, P)
-    # the product law with unreduced colors, through the validating constructor
-    product = GroupElement(P, [b.colors[i] + a.colors[b.perm[i] - 1] for i in range(n)],
-                           [a.perm[b.perm[i] - 1] for i in range(n)])
+    product = _validated_product(a, b)
     inv = sorted(range(1, n + 1), key=lambda i: a.perm[i - 1])
     inverse = GroupElement(P, [-a.colors[inv[i] - 1] for i in range(n)], inv)
     for built, checked in ((a * b, product), (a.inverse(), inverse)):
@@ -143,6 +150,66 @@ def test_products_and_inverses_match_validated_elements(r, n, data):
         assert type(built.colors) is tuple and type(built.perm) is tuple
     assert (a * a.inverse()).is_identity()
     assert (a.inverse() * a).is_identity()
+
+
+def _validated_generator(params, token):
+    n = params.n
+    if token == 0:
+        return GroupElement(params, [1] + [0] * (n - 1), range(1, n + 1))
+    perm = list(range(1, n + 1))
+    perm[token - 1], perm[token] = perm[token], perm[token - 1]
+    return GroupElement(params, [0] * n, perm)
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 5), (4, 6)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generator_actions_match_validated_products(r, n, data):
+    P = GroupParams(r, n)
+    w = _draw_element(data, P)
+    one = GroupElement(P, [0] * n, range(1, n + 1))
+    for token in range(n):
+        g = _validated_generator(P, token)
+        order = r if token == 0 else 2
+        for power in (1, -1, r - 1):
+            g_power = one
+            for _ in range(power % order):
+                g_power = _validated_product(g_power, g)
+            for built, checked in ((w.rmul_gen(token, power), _validated_product(w, g_power)),
+                                   (w.lmul_gen(token, power), _validated_product(g_power, w))):
+                assert built == checked and hash(built) == hash(checked)
+                assert type(built.colors) is tuple and type(built.perm) is tuple
+    word = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n)))
+    folded = one
+    for token in word:
+        folded = _validated_product(folded, _validated_generator(P, token))
+    assert eval_word(P, word) == folded and hash(eval_word(P, word)) == hash(folded)
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 5), (4, 6)])
+def test_constant_elements_match_validated_elements(r, n):
+    P = GroupParams(r, n)
+    pairs = [(GroupElement.identity(P), GroupElement(P, [0] * n, range(1, n + 1))),
+             (GroupElement.gen_t(P), _validated_generator(P, 0))]
+    pairs += [(GroupElement.gen_s(P, i), _validated_generator(P, i)) for i in range(1, n)]
+    for built, checked in pairs:
+        assert built == checked and hash(built) == hash(checked)
+        assert built.colors == checked.colors and built.perm == checked.perm
+
+
+def test_out_of_range_tokens_raise():
+    P = GroupParams(2, 3)
+    w = eval_word(P, (0, 1, 2))
+    for token in (3, 5, -1):
+        with pytest.raises(GroupError):
+            eval_word(P, (token,))
+        with pytest.raises(GroupError):
+            w.rmul_gen(token)
+        with pytest.raises(GroupError):
+            w.lmul_gen(token)
+    for i in (0, 3):
+        with pytest.raises(GroupError):
+            GroupElement.gen_s(P, i)
 
 
 def test_length_special_elements():

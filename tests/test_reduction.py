@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cyclohecke.group import (
@@ -12,6 +14,9 @@ from cyclohecke.group import (
     w_alpha,
 )
 from cyclohecke.reduction import (
+    ReductionCertificate,
+    ReductionStep,
+    TailStep,
     reduce_to_minimal,
     try_move,
     verify_certificate,
@@ -104,3 +109,56 @@ def test_certificate_serialization():
     payload = cert.to_json()
     assert payload["terminal_length"] == length(cert.terminal_element)
     assert len(payload["steps"]) == len(cert.steps)
+
+
+def _forged_certificates():
+    """(certificate, detail) pairs, one tampered field per failure branch of
+    verify_certificate."""
+    P = GroupParams(2, 3)
+    cert = reduce_to_minimal(eval_word(P, (0, 1, 2, 1, 0, 1)), canonical=True)
+    steps = cert.steps
+    assert len(steps) == 4 and steps[0].side == "right"
+
+    def with_step(i, **changes):
+        forged = list(steps)
+        forged[i] = replace(steps[i], **changes)
+        return replace(cert, steps=forged)
+
+    out = [
+        (with_step(1, before=steps[0].before), "step 1: chain broken"),
+        (with_step(0, conjugator=2), "step 0: not a conjugation by the stated generator"),
+        (with_step(0, len_before=steps[0].len_before + 1),
+         "step 0: recorded lengths are wrong"),
+        (with_step(0, side="left"), "step 0: recorded descent condition does not hold"),
+        (replace(cert, terminal_element=steps[-1].before), "terminal element mismatch"),
+        (replace(cert, canonical=ColoredSemiBicomposition((3,), (1,), ())),
+         "canonical label mismatch"),
+        (replace(cert, canonical_element=steps[-1].before), "canonical element mismatch"),
+    ]
+
+    # S_3: s_1 = w_beta with mu = (2, 1); s_2 reaches it by one tail step
+    S = GroupParams(1, 3)
+    s1, s2 = GroupElement.gen_s(S, 1), GroupElement.gen_s(S, 2)
+    up = ReductionStep(2, s1, eval_word(S, (2, 1, 2)), 1, 3, "both")
+    out.append((replace(reduce_to_minimal(s1, canonical=True), steps=[up]),
+                "step 0: length increased"))
+    cert2 = reduce_to_minimal(s2, canonical=True)
+    assert cert2.tail and cert2.canonical_element == s1
+    for tail, detail in [
+        ([TailStep((1, 2), s2, s2)], "tail step 0: not the stated strong conjugation"),
+        ([TailStep((1,), s2, eval_word(S, (1, 2, 1)))], "tail step 0: length not preserved"),
+        ([TailStep((2, 1, 2), s2, s1)], "tail step 0: length additivity fails"),
+    ]:
+        out.append((replace(cert2, tail=tail), detail))
+    out.append((replace(cert2, tail=[], canonical_element=s2), "tail does not end on w_beta"))
+    # a tail that walks off w_beta is refused also without canonical_element
+    c = reduce_to_minimal(s1, canonical=True)
+    out.append((ReductionCertificate(c.start, c.steps, c.terminal, c.terminal_element,
+                                     c.canonical, [TailStep((2, 1), s1, s2)], None),
+                "tail does not end on w_beta"))
+    return out
+
+
+def test_forged_certificates_are_rejected():
+    for cert, detail in _forged_certificates():
+        assert verify_certificate(cert) == (False, detail)
