@@ -110,7 +110,7 @@ def criterion_reduction(level="full"):
     from .reduction import reduce_to_minimal, verify_certificate
     sizes = [(2, 3), (3, 2)]
     if level == "full":
-        sizes += [(3, 3), (2, 4)]
+        sizes += [(3, 3), (2, 4), (1, 6)]
     checks = []
     for r, n in sizes:
         params = GroupParams(r, n)

@@ -259,9 +259,13 @@ def _act_right(params, colors, perm, token, power):
 # -- words -------------------------------------------------------------------
 
 def parse_word(params, text):
-    """Whitespace-separated tokens ``t``, ``s1`` .. ``s{n-1}`` (``T0`` = ``t``)."""
+    """Whitespace-separated tokens ``t``, ``s1`` .. ``s{n-1}`` (``T0`` = ``t``);
+    ``e`` alone is the empty word, as ``format_word`` prints it."""
+    words = text.split()
+    if words == ["e"]:
+        return ()
     tokens = []
-    for tok in text.split():
+    for tok in words:
         if tok in ("t", "T0"):
             tokens.append(0)
         elif tok.startswith("s") and tok[1:].isdigit():
@@ -588,6 +592,12 @@ def divisor_chain(w):
 def theta_factorization(w):
     """Read (lambda, eps) off the divisor chain of a block product."""
     ds = divisor_chain(w)
+    return (ds,) + chain_blocks(ds)
+
+
+def chain_blocks(ds):
+    """The block sizes lambda and colors eps of a divisor chain d_1 .. d_n:
+    ``s`` extends the current block, every other divisor opens one."""
     lam, eps = [], []
     for i, d in enumerate(ds, start=1):
         if i >= 2 and d == ("s",):
@@ -604,7 +614,7 @@ def theta_factorization(w):
             eps.append(d[1])
         else:
             raise NotBlockProduct("level-1 divisor chain cannot contain s_0")
-    return ds, tuple(lam), tuple(eps)
+    return tuple(lam), tuple(eps)
 
 
 def is_alpha_form(w):

@@ -17,6 +17,15 @@ The engine runs in two stages and records every move:
    (the right product drops by one letter) and the measure
    $(\ell(w), \ell(b))$ decreases lexicographically, so the stage terminates
    with $w = d_1 d_2 \cdots d_n$, a product of blocks $w_{\lambda,\epsilon}$.
+   The peel forms no normal form and no group product for this: it keeps the
+   suffix $d_{m+1} \cdots d_n$ as a color list and a permutation list, and
+   reads off it and $w$, by the product law, the column $p$ that the core
+   $w\,(d_{m+1} \cdots d_n)^{-1} \in W_m$ sends to row $m$ and the color
+   $\rho$ of that column.  The last letter of $b$ is $s_p$ when $\rho = 0$
+   and $s_{p-1}$ ($t$ when $p = 1$) otherwise; $b$ is trivial exactly when
+   $d_m$ is $1$, $s_{m-1}$ or $s'_{m-1,\rho}$, which the peel records, so the
+   divisor chain, and with it $(\lambda, \epsilon)$, comes out of the peel.
+   ``dc_normal_form`` remains the public normal form.
 
 2. *Block sorting.*  Adjacent blocks are swapped until the colored blocks
    come first in weakly increasing size (colors weakly decreasing on equal
@@ -50,11 +59,10 @@ from dataclasses import dataclass, field
 from .group import (
     ColoredSemiBicomposition,
     GroupElement,
-    dc_normal_form,
+    chain_blocks,
     eval_word,
     gen_element,
     length,
-    theta_factorization,
     w_alpha,
     w_lambda_eps,
 )
@@ -134,11 +142,13 @@ class ReductionCertificate:
         return out
 
 
-def try_move(cur, token):
-    """The admissible move conjugating by one generator, or None."""
+def try_move(cur, token, len_before=None):
+    """The admissible move conjugating by one generator, or None.
+    ``len_before``, when the caller already has it, is ``length(cur)``."""
+    if len_before is None:
+        len_before = length(cur)
     gw = cur.lmul_gen(token)
     nxt = gw.rmul_gen(token, -1)
-    len_before = length(cur)
     len_after = length(nxt)
     if len_after > len_before:
         return None
@@ -150,27 +160,61 @@ def try_move(cur, token):
     return ReductionStep(token, cur, nxt, len_before, len_after, side)
 
 
+def _core_top(cur, sc, sp, m):
+    """(p, rho) for core = cur * suffix^-1 with suffix = (sc, sp): the column
+    p that core sends to row m, and its color.  By the product law column
+    sp[j] of core is sent to row cur.perm[j] with color cur.colors[j] - sc[j];
+    every column above m must be fixed with color 0, i.e. core lies in W_m."""
+    r = cur.params.r
+    p = rho = None
+    for j, row in enumerate(cur.perm):
+        col, color = sp[j], (cur.colors[j] - sc[j]) % r
+        if col > m:
+            if row != col or color:
+                raise InternalInconsistencyError(f"peeled core escaped W_{m}")
+        elif row == m:
+            p, rho = col, color
+    return p, rho
+
+
 def _peel(w, steps):
-    """Stage 1: conjugate down to a product of level divisors."""
-    params = w.params
-    cur = w
-    suffix = GroupElement.identity(params)
-    m = params.n
+    """Stage 1: conjugate down to a product of level divisors d_1 .. d_n.
+
+    Returns the final element and its divisor chain, in the form that
+    ``divisor_chain`` gives it.  The suffix d_{m+1} .. d_n is kept as a color
+    list and a permutation list, and the core's top row is read off it and
+    ``cur`` without forming the core."""
+    n, r = w.params.n, w.params.r
+    cur, cur_len = w, None
+    sc, sp = [0] * n, list(range(1, n + 1))
+    ds = [None] * n
+    m = n
     while m >= 2:
-        core = cur * suffix.inverse()
-        dc = dc_normal_form(core, m)
-        if dc.b.is_identity():
-            suffix = dc.d * suffix
+        p, rho = _core_top(cur, sc, sp, m)
+        if p == m:
+            # b = 1, d = 1 or s'_{m-1,rho}: rho joins the column sent to row m
+            if rho:
+                col = sp.index(m)
+                sc[col] = (sc[col] + rho) % r
+            ds[m - 1] = ("sprime", rho) if rho else ("one",)
             m -= 1
-            continue
-        token = dc.b_word[-1]
-        step = try_move(cur, token)
-        if step is None:
-            raise InternalInconsistencyError(
-                f"peeling move by {token} violated the descent condition")
-        steps.append(step)
-        cur = step.after
-    return cur
+        elif p == m - 1 and rho == 0:
+            # b = 1, d = s_{m-1}: exchange the values m-1 and m
+            lo, hi = sp.index(m - 1), sp.index(m)
+            sp[lo], sp[hi] = m, m - 1
+            ds[m - 1] = ("s",)
+            m -= 1
+        else:
+            # the last letter of b: s_p, or s_{p-1} (t when p = 1) after t^rho
+            token = p if rho == 0 else p - 1
+            step = try_move(cur, token, cur_len)
+            if step is None:
+                raise InternalInconsistencyError(
+                    f"peeling move by {token} violated the descent condition")
+            steps.append(step)
+            cur, cur_len = step.after, step.len_after
+    ds[0] = ("t", _core_top(cur, sc, sp, 1)[1])
+    return cur, ds
 
 
 def _conjugation_path(src, dst, tokens):
@@ -179,11 +223,11 @@ def _conjugation_path(src, dst, tokens):
     if src == dst:
         return []
     parents = {src: None}
-    queue = deque([src])
+    queue = deque([(src, length(src))])
     while queue:
-        cur = queue.popleft()
+        cur, cur_len = queue.popleft()
         for token in tokens:
-            step = try_move(cur, token)
+            step = try_move(cur, token, cur_len)
             if step is None or step.after in parents:
                 continue
             parents[step.after] = step
@@ -195,7 +239,7 @@ def _conjugation_path(src, dst, tokens):
                     path.append(st)
                     node = st.before
                 return list(reversed(path))
-            queue.append(step.after)
+            queue.append((step.after, step.len_after))
     raise InternalInconsistencyError(
         "no admissible conjugation schedule found for a block swap")
 
@@ -265,8 +309,8 @@ def reduce_to_minimal(w, canonical=False):
     w_beta (the element ``canonical_element``).
     """
     steps = []
-    cur = _peel(w, steps)
-    _, lam, eps = theta_factorization(cur)
+    cur, ds = _peel(w, steps)
+    lam, eps = chain_blocks(ds)
     blocks = list(zip(lam, eps))
 
     # colored blocks migrate to the front
@@ -334,19 +378,25 @@ def verify_certificate(cert):
     params = cert.start.params
     cur = cert.start
     cur_len = length(cur)
+    gens = {}                 # token -> (g, g^-1)
     for idx, step in enumerate(cert.steps):
         if step.before != cur:
             return False, f"step {idx}: chain broken"
-        g = gen_element(params, step.conjugator)
-        g_inv = g.inverse()
-        if g * cur * g_inv != step.after:
+        if step.conjugator not in range(params.n):
+            return False, f"step {idx}: conjugator out of range"
+        if step.conjugator not in gens:
+            g = gen_element(params, step.conjugator)
+            gens[step.conjugator] = g, g.inverse()
+        g, g_inv = gens[step.conjugator]
+        g_cur = g * cur
+        if g_cur * g_inv != step.after:
             return False, f"step {idx}: not a conjugation by the stated generator"
         lb, la = cur_len, length(step.after)
         if (lb, la) != (step.len_before, step.len_after):
             return False, f"step {idx}: recorded lengths are wrong"
         if la > lb:
             return False, f"step {idx}: length increased"
-        left = length(g * cur) < lb
+        left = length(g_cur) < lb
         right = length(cur * g_inv) < lb
         want = {"left": left, "right": right, "both": left and right}.get(step.side)
         if not want:
@@ -363,6 +413,8 @@ def verify_certificate(cert):
     for idx, step in enumerate(cert.tail):
         if step.before != cur:
             return False, f"tail step {idx}: chain broken"
+        if any(tok not in range(params.n) for tok in step.conjugator_word):
+            return False, f"tail step {idx}: conjugator out of range"
         y = eval_word(params, step.conjugator_word)
         if y.inverse() * cur * y != step.after:
             return False, f"tail step {idx}: not the stated strong conjugation"

@@ -47,6 +47,13 @@ def test_group_normal_form_and_length():
     code, rep = run_json(["group", "length", "--r", "3", "--n", "2",
                           "--word", "t t"])
     assert code == 0 and rep["result"]["length"] == 2
+    # the printed empty word reads back
+    code, rep = run_json(["group", "length", "--r", "2", "--n", "2",
+                          "--word", "t t"])
+    assert code == 0 and rep["result"]["bm_word"] == "e"
+    code, rep = run_json(["group", "length", "--r", "2", "--n", "2",
+                          "--word", "e"])
+    assert code == 0 and rep["result"]["length"] == 0
 
 
 def test_hecke_center_check():

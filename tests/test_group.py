@@ -17,6 +17,7 @@ from cyclohecke.group import (
     enumerate_classes,
     enumerate_group,
     eval_word,
+    format_word,
     gen_element,
     is_alpha_form,
     length,
@@ -44,6 +45,19 @@ def test_eval_word_examples():
         parse_word(P, "s2")
     with pytest.raises(GroupError):
         parse_word(P, "u1")
+    assert parse_word(P, "e") == () and parse_word(P, " e ") == ()
+    with pytest.raises(GroupError):
+        parse_word(P, "e t")             # e names the empty word only alone
+
+
+@pytest.mark.parametrize("r,n", [(1, 1), (2, 3), (3, 4)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_format_word_reads_back(r, n, data):
+    P = GroupParams(r, n)
+    assert parse_word(P, format_word(())) == ()
+    word = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n)))
+    assert parse_word(P, format_word(word)) == word
 
 
 def test_group_axioms():

@@ -1,22 +1,32 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclohecke.group import (
     ColoredSemiBicomposition,
     GroupElement,
     GroupParams,
+    chain_blocks,
     conjugacy_invariant,
+    dc_normal_form,
+    divisor_chain,
     enumerate_classes,
+    enumerate_group,
     eval_word,
     length,
     phi_bijection_full,
+    theta_factorization,
     w_alpha,
 )
 from cyclohecke.reduction import (
+    InternalInconsistencyError,
     ReductionCertificate,
     ReductionStep,
     TailStep,
+    _core_top,
+    _peel,
     reduce_to_minimal,
     try_move,
     verify_certificate,
@@ -130,6 +140,7 @@ def _forged_certificates():
         (with_step(0, len_before=steps[0].len_before + 1),
          "step 0: recorded lengths are wrong"),
         (with_step(0, side="left"), "step 0: recorded descent condition does not hold"),
+        (with_step(0, conjugator=7), "step 0: conjugator out of range"),
         (replace(cert, terminal_element=steps[-1].before), "terminal element mismatch"),
         (replace(cert, canonical=ColoredSemiBicomposition((3,), (1,), ())),
          "canonical label mismatch"),
@@ -148,6 +159,7 @@ def _forged_certificates():
         ([TailStep((1, 2), s2, s2)], "tail step 0: not the stated strong conjugation"),
         ([TailStep((1,), s2, eval_word(S, (1, 2, 1)))], "tail step 0: length not preserved"),
         ([TailStep((2, 1, 2), s2, s1)], "tail step 0: length additivity fails"),
+        ([TailStep((1, 3), s2, s1)], "tail step 0: conjugator out of range"),
     ]:
         out.append((replace(cert2, tail=tail), detail))
     out.append((replace(cert2, tail=[], canonical_element=s2), "tail does not end on w_beta"))
@@ -162,3 +174,74 @@ def _forged_certificates():
 def test_forged_certificates_are_rejected():
     for cert, detail in _forged_certificates():
         assert verify_certificate(cert) == (False, detail)
+
+
+def _reference_peel(w):
+    """Stage 1 through the double-coset normal form and the product law:
+    form core = cur * suffix^-1, take dc_normal_form(core, m), conjugate by
+    the last letter of its b part, or prepend its d to the suffix when b is
+    trivial."""
+    params = w.params
+    steps, cur = [], w
+    suffix = GroupElement.identity(params)
+    m = params.n
+    while m >= 2:
+        dc = dc_normal_form(cur * suffix.inverse(), m)
+        if dc.b.is_identity():
+            suffix = dc.d * suffix
+            m -= 1
+            continue
+        step = try_move(cur, dc.b_word[-1])
+        assert step is not None
+        steps.append(step)
+        cur = step.after
+    return steps, cur
+
+
+class _BoundedSteps(list):
+    """A step list that fails, rather than grows without end, once a peel
+    makes more moves than the reference did."""
+
+    def __init__(self, bound):
+        super().__init__()
+        self.bound = bound
+
+    def append(self, step):
+        assert len(self) < self.bound, "more moves than the reference peel"
+        super().append(step)
+
+
+def _check_peel(w):
+    ref_steps, ref_cur = _reference_peel(w)
+    steps = _BoundedSteps(len(ref_steps))
+    cur, ds = _peel(w, steps)
+    assert steps == ref_steps and cur == ref_cur
+    assert ds == divisor_chain(cur)
+    assert chain_blocks(ds) == theta_factorization(cur)[1:]
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 3), (2, 4), (4, 3)])
+def test_tuple_peel_matches_the_product_law_exhaustively(r, n):
+    for w in enumerate_group(GroupParams(r, n)):
+        _check_peel(w)
+
+
+@pytest.mark.parametrize("r,n", [(2, 6), (3, 5), (4, 4)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tuple_peel_matches_the_product_law(r, n, data):
+    colors = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    _check_peel(GroupElement(GroupParams(r, n), colors, perm))
+
+
+def test_peel_refuses_a_core_outside_the_level():
+    P = GroupParams(2, 3)
+    cur = GroupElement.identity(P)
+    # suffix s_2: core = s_2 moves position 3, so it is not in W_2
+    with pytest.raises(InternalInconsistencyError):
+        _core_top(cur, [0, 0, 0], [1, 3, 2], 2)
+    # suffix s'_{2,1}: core carries color 1 in position 3
+    with pytest.raises(InternalInconsistencyError):
+        _core_top(cur, [0, 0, 1], [1, 2, 3], 2)
+    assert _core_top(cur, [0, 0, 0], [1, 2, 3], 2) == (2, 0)
