@@ -65,7 +65,7 @@ def _fraction_ctx(r, n):
 def criterion_group_exactness(level="full"):
     sizes = [(2, 2), (3, 2), (2, 3)]
     if level == "full":
-        sizes += [(3, 3), (2, 4)]
+        sizes += [(3, 3), (2, 4), (4, 3), (3, 4), (2, 5)]
     checks = []
     for r, n in sizes:
         params = GroupParams(r, n)

@@ -26,9 +26,22 @@ $t_{0,a_0} t_{1,a_1} \cdots t_{n-1,a_{n-1}} v$ with $0 \le a_i < r$ and
 $v \in \mathfrak{S}_n$, where $t_{k,a} = s_k s_{k-1} \cdots s_1 t^a$ (reading
 left to right) and $t_{k,0} = 1$.  These words are reduced, so the length of
 an element is $\sum_{a_i > 0} (i + a_i)$ plus the Coxeter length of $v$.
-``length`` reads it off the parts $(a, v)$, which are computed on the raw
-color and permutation tuples with no word and no group product;
-``bm_normal_form`` builds its word from the same parts.
+``bm_normal_form`` computes the parts $(a, v)$ on the raw color and
+permutation tuples, with no word and no group product, and builds its word
+from them.  ``length`` needs only the sum, which has a closed form on the
+tuples.  Write $c_j$ for the color of position $j$ and $\pi_j$ for the row
+that position $j$ is sent to, and $K$ for the number of colored positions.
+Then $a_{\pi_j - 1} = c_j$, and $v$ sends the colored positions to the rows
+$1..K$ in decreasing order of $\pi_j$ and the uncolored ones to the rows
+$K+1..n$ in increasing order of $\pi_j$, so
+
+    l(w) = sum_{c_j != 0} (pi_j - 1 + c_j)
+           + #{i < j : c_i, c_j != 0, pi_i < pi_j}
+           + #{i < j : c_i = c_j = 0, pi_i > pi_j}
+           + #{i < j : c_i = 0, c_j != 0},
+
+the last three terms being the inversions of $v$ among colored positions,
+among uncolored ones, and between the two.
 The double-coset (DC) normal form peels one level: $w = a \cdot d \cdot b$
 with $a, b \in W_{n-1}$, $d \in \{1, s_{n-1}, s'_{n-1,1}, .., s'_{n-1,r-1}\}$
 and additive lengths, where $s'_{k,l} = s_k \cdots s_1 t^l s_1 \cdots s_k$ is
@@ -444,9 +457,25 @@ def bm_normal_form(w):
 
 
 def length(w):
-    """Distance from the identity in the Cayley graph on {t, s_1, .., s_{n-1}},
-    read off the BM parts (a, v) without forming a word or a group product."""
-    return _bm_length(*_bm_parts(w))
+    """Distance from the identity in the Cayley graph on {t, s_1, .., s_{n-1}}.
+
+    The BM length sum_{a_i > 0} (i + a_i) + inv(v) in closed form on the
+    tuples (see the module docstring), in one pass over the positions: a
+    colored position j adds pi_j - 1 + c_j, the colored positions before it
+    sent to lower rows, and every uncolored position before it; an uncolored
+    one adds the uncolored positions before it sent to higher rows.  The rows
+    reached so far are kept as two bit masks, one per kind of position."""
+    total = colored = plain = n_plain = 0
+    for c, row in zip(w.colors, w.perm):
+        bit = 1 << row
+        if c:
+            total += row - 1 + c + (colored & (bit - 1)).bit_count() + n_plain
+            colored |= bit
+        else:
+            total += (plain >> row).bit_count()
+            plain |= bit
+            n_plain += 1
+    return total
 
 
 def bm_word(w):

@@ -17,6 +17,7 @@ The engine runs in two stages and records every move:
    (the right product drops by one letter) and the measure
    $(\ell(w), \ell(b))$ decreases lexicographically, so the stage terminates
    with $w = d_1 d_2 \cdots d_n$, a product of blocks $w_{\lambda,\epsilon}$.
+   The peel checks the decrease at every move and raises if it fails.
    The peel forms no normal form and no group product for this: it keeps the
    suffix $d_{m+1} \cdots d_n$ as a color list and a permutation list, and
    reads off it and $w$, by the product law, the column $p$ that the core
@@ -183,12 +184,18 @@ def _peel(w, steps):
     Returns the final element and its divisor chain, in the form that
     ``divisor_chain`` gives it.  The suffix d_{m+1} .. d_n is kept as a color
     list and a permutation list, and the core's top row is read off it and
-    ``cur`` without forming the core."""
+    ``cur`` without forming the core.
+
+    Within one level every move must lower (length(cur), length(b))
+    lexicographically, which is what makes the peel terminate; length(b) is
+    m-1-p when rho = 0 and m+rho+p-3 otherwise, the length of the ``b_word``
+    of ``dc_normal_form``.  A move that does not raises instead of looping."""
     n, r = w.params.n, w.params.r
     cur, cur_len = w, None
     sc, sp = [0] * n, list(range(1, n + 1))
     ds = [None] * n
     m = n
+    last = None               # (length(cur), length(b)) before the last move
     while m >= 2:
         p, rho = _core_top(cur, sc, sp, m)
         if p == m:
@@ -197,21 +204,26 @@ def _peel(w, steps):
                 col = sp.index(m)
                 sc[col] = (sc[col] + rho) % r
             ds[m - 1] = ("sprime", rho) if rho else ("one",)
-            m -= 1
+            m, last = m - 1, None
         elif p == m - 1 and rho == 0:
             # b = 1, d = s_{m-1}: exchange the values m-1 and m
             lo, hi = sp.index(m - 1), sp.index(m)
             sp[lo], sp[hi] = m, m - 1
             ds[m - 1] = ("s",)
-            m -= 1
+            m, last = m - 1, None
         else:
             # the last letter of b: s_p, or s_{p-1} (t when p = 1) after t^rho
             token = p if rho == 0 else p - 1
+            b_len = m - 1 - p if rho == 0 else m + rho + p - 3
+            if last is not None and (cur_len, b_len) >= last:
+                raise InternalInconsistencyError(
+                    f"peeling at level {m} stopped lowering (length, length(b))")
             step = try_move(cur, token, cur_len)
             if step is None:
                 raise InternalInconsistencyError(
                     f"peeling move by {token} violated the descent condition")
             steps.append(step)
+            last = (step.len_before, b_len)
             cur, cur_len = step.after, step.len_after
     ds[0] = ("t", _core_top(cur, sc, sp, 1)[1])
     return cur, ds

@@ -29,6 +29,8 @@ from cyclohecke.group import (
     theta_factorization,
     w_alpha,
     w_lambda_eps,
+    _bm_length,
+    _bm_parts,
 )
 from cyclohecke.tableaux import compositions, enumerate_multipartitions
 
@@ -104,6 +106,7 @@ def test_bm_examples():
 
 @pytest.mark.parametrize("r,n", SIZES)
 def test_bm_bijection_and_length_oracle(r, n):
+    """The closed-form length against the BM parts and the BFS distance."""
     P = GroupParams(r, n)
     dist = enumerate_group(P)
     assert len(dist) == P.order
@@ -111,7 +114,7 @@ def test_bm_bijection_and_length_oracle(r, n):
     for w, d in dist.items():
         bm = bm_normal_form(w)
         assert eval_word(P, bm.word) == w
-        assert length(w) == d
+        assert length(w) == _bm_length(*_bm_parts(w)) == d
         key = (bm.a, bm.v)
         assert key not in seen
         seen.add(key)

@@ -20,6 +20,7 @@ from cyclohecke.group import (
     theta_factorization,
     w_alpha,
 )
+from cyclohecke import reduction
 from cyclohecke.reduction import (
     InternalInconsistencyError,
     ReductionCertificate,
@@ -245,3 +246,23 @@ def test_peel_refuses_a_core_outside_the_level():
     with pytest.raises(InternalInconsistencyError):
         _core_top(cur, [0, 0, 1], [1, 2, 3], 2)
     assert _core_top(cur, [0, 0, 0], [1, 2, 3], 2) == (2, 0)
+
+
+def test_peel_raises_when_a_move_makes_no_progress(monkeypatch):
+    """A producer that picks an admissible move which lowers neither length
+    nor length(b) must raise, not loop; the call counter turns a missing
+    guard into a failure instead of a hang."""
+    calls = []
+
+    def stalled_move(cur, token, len_before=None):
+        calls.append(token)
+        if len(calls) > 50:
+            raise RuntimeError("the peel kept moving without progress")
+        ln = length(cur)
+        return ReductionStep(token, cur, cur, ln, ln, "left")
+
+    monkeypatch.setattr(reduction, "try_move", stalled_move)
+    w = eval_word(GroupParams(2, 3), (2, 1, 0))     # peels by t, s_1, t
+    with pytest.raises(InternalInconsistencyError, match="stopped lowering"):
+        reduce_to_minimal(w)
+    assert calls == [0]
