@@ -261,7 +261,8 @@ def criterion_seminormal(level="full"):
 # -- criterion 5: center and cocenter dimensions -----------------------------------
 
 def criterion_center_dims(level="full"):
-    from .center import center, commutator_subspace
+    from .center import (center, commutator_subspace,
+                         representative_dependence_report)
     cases = [
         ("semisimple", 1, 3, Fraction(2), [Fraction(1)]),
         ("semisimple", 2, 2, Fraction(2), [Fraction(1), Fraction(100)]),
@@ -276,6 +277,10 @@ def criterion_center_dims(level="full"):
             ("non-semisimple", 2, 3, Fraction(-1), [Fraction(1), Fraction(-1)]),
             ("semisimple", 2, 4, Fraction(2), [Fraction(1), Fraction(100)]),
             ("non-semisimple", 2, 4, Fraction(-1), [Fraction(1), Fraction(-1)]),
+            ("semisimple", 3, 3, Fraction(2),
+             [Fraction(1), Fraction(100), Fraction(10000)]),
+            ("non-semisimple", 3, 3, Fraction(-1),
+             [Fraction(1), Fraction(-1), Fraction(1)]),
         ]
     checks = []
     for tag, r, n, xi, qs in cases:
@@ -290,6 +295,13 @@ def criterion_center_dims(level="full"):
             f"({r},{n}) {tag} xi={xi}: rank [H,H] = dim - #classes",
             comm.rank == ctx.dimension - expected,
             f"{comm.rank} vs {ctx.dimension - expected}"))
+        reps = representative_dependence_report(ctx, comm)
+        checks.append(Check(
+            f"({r},{n}) {tag} xi={xi}: minimal-length elements congruent "
+            f"to w_C modulo [H,H]", reps["agrees_everywhere"],
+            f"outside [H,H]: {len(reps['differences'])}; classes with "
+            f"another minimal element: "
+            f"{reps['classes_with_alternative_minimal_rep']}"))
     return checks
 
 

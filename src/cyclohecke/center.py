@@ -16,7 +16,11 @@ terms of them modulo [H, H].  They are computed by the character-matrix
 method: chi_lambda(T_w) = sum_C f_{w,C} chi_lambda(T_{w_C}) with the square
 character matrix factored once per context (its Gauss-Jordan row operations
 are recorded and replayed on each right-hand side), and every result is
-certified by a membership check of the residual in [H, H].
+certified by a membership check of the residual in [H, H].  The class
+polynomials are coordinates in the cocenter H/[H, H], so they do not depend
+on which minimal-length representative is chosen exactly when T_w - T_{w_C}
+lies in [H, H] for every minimal-length w of every class C;
+``representative_dependence_report`` checks that by membership alone.
 
 The dual-basis constructions follow: T_w^vee is the tau-dual basis of
 {T_w}, y_C = sum_w f_{w,C} T_w^vee and z_C = sum_w g_{w,C} b_w with
@@ -345,58 +349,28 @@ def center_conjecture_report(r, n, e, kappa):
     }
 
 
-def alternative_representatives(params, budget=50_000):
-    """For each class, a minimal-length element different from w_beta when
-    one exists (None otherwise); an experiment hook, not an invariant."""
+def representative_dependence_report(ctx, commutators, budget=50_000):
+    """Check that the class polynomials do not depend on the choice of
+    minimal-length representative: every minimal-length w of a class C
+    must have T_w - T_{w_C} in [H, H], whose echelon basis is
+    ``commutators``.  Uses no characters, so it runs at every parameter
+    point; an element that fails is reported with its class."""
     from .group import enumerate_classes
-    classes = enumerate_classes(params, budget)
-    canon = {info.label: info for info in class_data(params)}
-    out = {}
-    for cls in classes:
-        label = conjugacy_invariant(cls[0])
-        info = canon[label]
-        minimal = [w for w in cls if length(w) == info.min_length]
-        alt = next((w for w in minimal if w != info.rep), None)
-        out[label] = alt
-    return out
-
-
-def representative_dependence_report(ctx, polys, budget=50_000):
-    """Recompute f_{w,C} against alternative minimal representatives and
-    report the differences as data."""
-    ctx_params = ctx.params
-    alts = alternative_representatives(ctx_params, budget)
-    alt_elements = {}
-    for info in polys.classes:
-        alt = alts.get(info.label)
-        alt_elements[info.label] = t_element(ctx, alt) if alt is not None \
-            else polys._rep_elements[info.label]
-    elim = Elimination(ctx.ring, [
-        {info.label: polys.snd.character(shape, alt_elements[info.label])
-         for info in polys.classes}
-        for shape in polys.shapes
-    ])
+    canon = {info.label: info for info in class_data(ctx.params)}
+    replaced = 0
     diffs = []
-    order = sorted(enumerate_group(ctx_params, budget),
-                   key=lambda w: (length(w), w.colors, w.perm))
-    for w in order:
-        elt = t_element(ctx, w)
-        rhs = [polys.snd.character(shape, elt) for shape in polys.shapes]
-        sol = elim.solve(rhs)
-        base = polys.f_polys(w, check_residual=False)
-        for info in polys.classes:
-            a = base[info.label]
-            b = sol[info.label]
-            if not ctx.ring.is_zero(a - b):
-                diffs.append({
-                    "w": w.to_json(),
-                    "class": [list(c) for c in info.label],
-                    "canonical": ctx.ring.format(a),
-                    "alternative": ctx.ring.format(b),
-                })
-    replaced = [list(label) for label, alt in alts.items() if alt is not None]
+    for cls in enumerate_classes(ctx.params, budget):
+        info = canon[conjugacy_invariant(cls[0])]
+        others = [w for w in cls
+                  if length(w) == info.min_length and w != info.rep]
+        replaced += bool(others)
+        rep = t_element(ctx, info.rep)
+        for w in others:
+            if not commutators.contains((t_element(ctx, w) - rep).terms):
+                diffs.append({"w": w.to_json(),
+                              "class": [list(c) for c in info.label]})
     return {
-        "classes_with_alternative_minimal_rep": len(replaced),
+        "classes_with_alternative_minimal_rep": replaced,
         "differences": diffs,
         "agrees_everywhere": not diffs,
     }

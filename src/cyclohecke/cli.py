@@ -235,7 +235,8 @@ def cmd_hecke_class_polys(args):
     }
     checks = [("residuals lie in [H,H]", residual_ok, "")]
     if args.compare_reps:
-        report = representative_dependence_report(ctx, polys, args.budget)
+        report = representative_dependence_report(
+            ctx, polys.commutator_basis(), args.budget)
         result["representative_dependence"] = report
     return result, checks
 
@@ -495,8 +496,9 @@ def make_parser():
         if name == "class-polys":
             p.add_argument("--word", help="single element; default all")
             p.add_argument("--compare-reps", action="store_true",
-                           help="recompute against alternative minimal "
-                                "representatives and report differences")
+                           help="check that every minimal-length element is "
+                                "congruent to its class representative "
+                                "modulo [H,H]; report those that are not")
         if name == "center":
             p.add_argument("--check-symmetric-jm", action="store_true")
         p.set_defaults(fn=fn)

@@ -493,10 +493,6 @@ class DCNormalForm:
     b_word: tuple
     level: int
 
-    def lengths_additive(self):
-        return length(self.a * self.d * self.b) == (
-            length(self.a) + len(self.d_word) + len(self.b_word))
-
 
 def dc_normal_form(w, level=None):
     """Peel the top level: w = a * d * b with a, b in W_{level-1}.

@@ -69,36 +69,23 @@ def _peval_element(ctx, poly, elt):
 
 
 def minimal_polynomial(ctx, elt):
-    """Monic minimal polynomial of an algebra element, low degree first."""
+    """Monic minimal polynomial of an algebra element, low degree first.
+    The powers of elt enter one echelon until a power depends on the ones
+    before it; that dependency is then solved for once."""
     ring = ctx.ring
-    powers = [ctx.one()]
+    basis = SubspaceBasis(ring)
+    powers = []
     cur = ctx.one()
-    while True:
+    while basis.add(cur.terms):
+        powers.append(cur)
+        if len(powers) > ctx.dimension + 1:
+            raise KLRError("minimal polynomial exceeded the dimension bound")
         cur = cur * elt
-        cols = list(range(len(powers)))
-        keys = set(cur.terms)
-        for p in powers:
-            keys |= set(p.terms)
-        matrix = []
-        rhs = []
-        for idx in sorted(keys):
-            row = {}
-            for j in cols:
-                v = powers[j].terms.get(idx)
-                if v is not None:
-                    row[j] = v
-            matrix.append(row)
-            rhs.append(cur.terms.get(idx, ring.zero()))
-        try:
-            sol = solve(ring, matrix, rhs)
-        except ArithmeticError:
-            powers.append(cur)
-            if len(powers) > ctx.dimension + 1:
-                raise KLRError("minimal polynomial exceeded the dimension bound")
-            continue
-        coeffs = [-(sol.get(j, ring.zero())) for j in cols]
-        coeffs.append(ring.one())
-        return coeffs
+    keys = sorted(set(cur.terms).union(*(p.terms for p in powers)))
+    matrix = [{j: p.terms[idx] for j, p in enumerate(powers) if idx in p.terms}
+              for idx in keys]
+    sol = solve(ring, matrix, [cur.terms.get(idx, ring.zero()) for idx in keys])
+    return [-sol.get(j, ring.zero()) for j in range(len(powers))] + [ring.one()]
 
 
 def _root_multiplicities(ring, poly, candidates):

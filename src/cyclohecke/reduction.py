@@ -256,18 +256,20 @@ def _conjugation_path(src, dst, tokens):
         "no admissible conjugation schedule found for a block swap")
 
 
+def _exchanged(params, blocks, i):
+    """For swapping adjacent blocks i, i+1: the start of their window, the
+    block list with the two exchanged, and its block product w_lambda_eps."""
+    start = sum(size for size, _ in blocks[:i])
+    new_blocks = list(blocks)
+    new_blocks[i], new_blocks[i + 1] = blocks[i + 1], blocks[i]
+    sizes, colors = zip(*new_blocks)
+    return start, new_blocks, w_lambda_eps(params, sizes, colors)[0]
+
+
 def _swap_blocks(cur, blocks, i, steps):
     """Swap adjacent blocks i, i+1 via a window-supported move schedule."""
-    params = cur.params
-    start = sum(size for size, _ in blocks[:i])
+    start, new_blocks, target = _exchanged(cur.params, blocks, i)
     width = blocks[i][0] + blocks[i + 1][0]
-    new_blocks = list(blocks)
-    new_blocks[i], new_blocks[i + 1] = new_blocks[i + 1], new_blocks[i]
-    target, _ = w_lambda_eps(
-        params,
-        tuple(size for size, _ in new_blocks),
-        tuple(color for _, color in new_blocks),
-    )
     tokens = list(range(start + 1, start + width))
     steps.extend(_conjugation_path(cur, target, tokens))
     return target, new_blocks
@@ -287,28 +289,29 @@ def _block_exchange_perm(params, start, p1, p2):
 def _strong_swap(cur, blocks, i, tail):
     """Exchange adjacent uncolored blocks i, i+1 by strong conjugation."""
     params = cur.params
-    start = sum(size for size, _ in blocks[:i])
-    p1, p2 = blocks[i][0], blocks[i + 1][0]
-    new_blocks = list(blocks)
-    new_blocks[i], new_blocks[i + 1] = new_blocks[i + 1], new_blocks[i]
-    target, _ = w_lambda_eps(
-        params,
-        tuple(size for size, _ in new_blocks),
-        tuple(color for _, color in new_blocks),
-    )
-    candidates = [_block_exchange_perm(params, start, p1, p2)]
-    candidates.append(candidates[0].inverse())
-    y = None
-    for cand in candidates:
+    start, new_blocks, target = _exchanged(params, blocks, i)
+    y = _block_exchange_perm(params, start, blocks[i][0], blocks[i + 1][0])
+    for cand in (y, y.inverse()):
         if (cand.inverse() * cur * cand == target
                 and length(cur * cand) == length(cur) + length(cand)):
-            y = cand
             break
-    if y is None:
+    else:
         raise InternalInconsistencyError("block exchange witness failed")
     from .group import coxeter_word
-    tail.append(TailStep(coxeter_word(y.perm), cur, target))
+    tail.append(TailStep(coxeter_word(cand.perm), cur, target))
     return target, new_blocks
+
+
+def _sort_blocks(cur, blocks, span, out_of_order, swap, record):
+    """Swap the first adjacent pair i, i+1 (i in ``span``) that is
+    ``out_of_order``, with ``swap`` recording into ``record``, and restart
+    until no pair is."""
+    while True:
+        i = next((i for i in span if out_of_order(blocks[i], blocks[i + 1])),
+                 None)
+        if i is None:
+            return cur, blocks
+        cur, blocks = swap(cur, blocks, i, record)
 
 
 def reduce_to_minimal(w, canonical=False):
@@ -326,26 +329,15 @@ def reduce_to_minimal(w, canonical=False):
     blocks = list(zip(lam, eps))
 
     # colored blocks migrate to the front
-    moved = True
-    while moved:
-        moved = False
-        for i in range(len(blocks) - 1):
-            if blocks[i][1] == 0 and blocks[i + 1][1] != 0:
-                cur, blocks = _swap_blocks(cur, blocks, i, steps)
-                moved = True
-                break
-
+    cur, blocks = _sort_blocks(
+        cur, blocks, range(len(blocks) - 1),
+        lambda a, b: a[1] == 0 and b[1] != 0, _swap_blocks, steps)
     # colored prefix: sizes weakly increasing, colors weakly decreasing on ties
     k = sum(1 for _, c in blocks if c != 0)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(k - 1):
-            (p1, c1), (p2, c2) = blocks[i], blocks[i + 1]
-            if p1 > p2 or (p1 == p2 and c1 < c2):
-                cur, blocks = _swap_blocks(cur, blocks, i, steps)
-                moved = True
-                break
+    cur, blocks = _sort_blocks(
+        cur, blocks, range(k - 1),
+        lambda a, b: a[0] > b[0] or (a[0] == b[0] and a[1] < b[1]),
+        _swap_blocks, steps)
 
     alpha = ColoredSemiBicomposition(
         lam=tuple(size for size, color in blocks[:k]),
@@ -361,14 +353,10 @@ def reduce_to_minimal(w, canonical=False):
     tail = []
     canonical_element = None
     if canonical:
-        moved = True
-        while moved:
-            moved = False
-            for i in range(k, len(blocks) - 1):
-                if blocks[i][0] < blocks[i + 1][0]:
-                    cur, blocks = _strong_swap(cur, blocks, i, tail)
-                    moved = True
-                    break
+        # uncolored suffix: sizes weakly decreasing
+        cur, blocks = _sort_blocks(
+            cur, blocks, range(k, len(blocks) - 1),
+            lambda a, b: a[0] < b[0], _strong_swap, tail)
         canonical_element = cur
         if canonical_element != w_alpha(w.params, beta)[0]:
             raise InternalInconsistencyError("tail sorting missed w_beta")

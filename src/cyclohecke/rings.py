@@ -523,10 +523,6 @@ class LaurentFrac:
         return self.num.nq
 
     @staticmethod
-    def from_laurent(p):
-        return LaurentFrac(p)
-
-    @staticmethod
     def const(nq, c):
         c = Fraction(c)
         return LaurentFrac(Laurent.const(nq, c.numerator), c.denominator)
@@ -815,8 +811,6 @@ class RingSpec:
         if self.kind == "laurent":
             raise NonFieldDivisionError(
                 "division requested in the Laurent ring; use the fraction field")
-        if isinstance(a, Fraction):
-            return a / b
         return a / b
 
     def invert(self, a):

@@ -131,16 +131,6 @@ def removable_nodes(lam):
     return out
 
 
-def add_node(lam, node):
-    l, a, c = node
-    comp = list(lam[l - 1])
-    if a == len(comp) + 1:
-        comp.append(1)
-    else:
-        comp[a - 1] += 1
-    return lam[: l - 1] + (tuple(comp),) + lam[l:]
-
-
 def remove_node(lam, node):
     l, a, c = node
     comp = list(lam[l - 1])

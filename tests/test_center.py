@@ -8,7 +8,6 @@ from cyclohecke.center import (
     ClassPolynomials,
     DualBasis,
     _index_commutator,
-    alternative_representatives,
     center,
     center_bases_yz,
     center_conjecture_report,
@@ -21,9 +20,11 @@ from cyclohecke.center import (
     symmetric_jm_subalgebra,
 )
 from cyclohecke.group import (
+    GroupElement,
     GroupParams,
     conjugacy_invariant,
     enumerate_group,
+    gen_element,
     length,
 )
 from cyclohecke.hecke import t_element
@@ -224,15 +225,48 @@ def test_dual_basis_and_yz():
         assert basis.rank == len(polys.classes)
 
 
-def test_alternative_representatives_experiment():
-    params = GroupParams(2, 2)
-    alts = alternative_representatives(params)
-    assert len(alts) == 5
-    ctx = spec_context(2, 2)
-    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
-    report = representative_dependence_report(ctx, polys)
-    assert "agrees_everywhere" in report
-    assert isinstance(report["differences"], list)
+@pytest.mark.parametrize("make,classes", [
+    (lambda: spec_context(2, 3), 5),
+    (lambda: spec_context(2, 3, Fraction(-1), [Fraction(1), Fraction(-1)]), 5),
+    (lambda: spec_context(1, 4, Fraction(-1), [Fraction(1)]), 3),
+    (lambda: spec_context(3, 2), 3),
+], ids=["2-3-xi2", "2-3-xi-1", "1-4-xi-1", "3-2-xi2"])
+def test_minimal_representatives_are_congruent_modulo_commutators(make, classes):
+    ctx = make()
+    report = representative_dependence_report(ctx, commutator_subspace(ctx))
+    assert report == {"classes_with_alternative_minimal_rep": classes,
+                      "differences": [], "agrees_everywhere": True}
+
+
+def test_representative_dependence_reports_elements_outside_commutators():
+    # against the zero subspace every other minimal element is a difference
+    ctx = spec_context(2, 3)
+    report = representative_dependence_report(ctx, SubspaceBasis(ctx.ring))
+    assert report["classes_with_alternative_minimal_rep"] == 5
+    assert len(report["differences"]) == 9
+    assert not report["agrees_everywhere"]
+    canon = {info.label: info.rep for info in class_data(ctx.params)}
+    for diff in report["differences"]:
+        assert set(diff) == {"w", "class"}
+        w = GroupElement.from_json(ctx.params, diff["w"])
+        label = tuple(tuple(c) for c in diff["class"])
+        assert conjugacy_invariant(w) == label
+        assert w != canon[label] and length(w) == length(canon[label])
+
+
+def test_equal_length_moves_need_not_be_congruences():
+    # the check is on class minima: an equal-length conjugation by s_1
+    # between non-minimal elements can leave [H, H]
+    ctx = spec_context(3, 3, Fraction(2),
+                       [Fraction(1), Fraction(10), Fraction(100)])
+    w = GroupElement(ctx.params, (1, 1, 2), (2, 3, 1))
+    w2 = GroupElement(ctx.params, (1, 1, 2), (3, 1, 2))
+    s1 = gen_element(ctx.params, 1)
+    assert s1 * w * s1 == w2 and length(w) == length(w2)
+    minimal = {info.label: info.min_length for info in class_data(ctx.params)}
+    assert length(w) > minimal[conjugacy_invariant(w)]
+    diff = t_element(ctx, w) - t_element(ctx, w2)
+    assert not commutator_subspace(ctx).contains(diff.terms)
 
 
 def test_symbolic_specialization_consistency():

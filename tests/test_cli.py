@@ -93,6 +93,17 @@ def test_class_polys_csv_and_determinism():
     assert len(out1.splitlines()) == 9    # header + |W| rows
 
 
+def test_class_polys_compare_reps():
+    code, rep = run_json(["hecke", "class-polys", "--r", "2", "--n", "2",
+                          "--spec", "xi=2,Q=1,100", "--compare-reps"])
+    assert code == 0
+    assert rep["result"]["representative_dependence"] == {
+        "classes_with_alternative_minimal_rep": 1,
+        "differences": [],
+        "agrees_everywhere": True,
+    }
+
+
 def test_cocenter_rank():
     code, rep = run_json(["hecke", "cocenter-rank", "--r", "2", "--n", "2",
                           "--spec", "xi=-1,Q=1,-1"])

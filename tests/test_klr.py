@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import spec_context
+
 from cyclohecke.center import context_for_weight, is_central
 from cyclohecke.klr import KLRBlocks, KLRError, WeightData, minimal_polynomial
 from cyclohecke.tableaux import (
@@ -26,6 +28,14 @@ def test_minimal_polynomial_quadratic():
     mu = minimal_polynomial(ctx, ctx.generator(1))
     # (T + 1)(T - xi) with xi = -1 collapses to (T + 1)^2
     assert len(mu) == 3
+
+
+def test_minimal_polynomial_of_generators_at_a_semisimple_point():
+    # (T_1 - xi)(T_1 + 1) and (T_0 - Q_1)(T_0 - Q_2), xi = 2, Q = (1, 100)
+    ctx = spec_context(2, 2)
+    assert minimal_polynomial(ctx, ctx.generator(1)) == [-2, -1, 1]
+    assert minimal_polynomial(ctx, ctx.generator(0)) == [100, -101, 1]
+    assert minimal_polynomial(ctx, ctx.one()) == [-1, 1]
 
 
 def test_idempotent_completeness(blocks13, blocks22):
