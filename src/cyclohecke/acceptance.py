@@ -308,8 +308,7 @@ def criterion_center_dims(level="full"):
 # -- criterion 6: class polynomials --------------------------------------------------
 
 def criterion_class_polynomials(level="full"):
-    from .center import ClassPolynomials, DualBasis, center_bases_yz, is_central
-    from .linalg import SubspaceBasis
+    from .center import ClassPolynomials
     from .seminormal import SeminormalData
     checks = []
     for r, n in [(2, 2), (1, 3)]:
@@ -333,20 +332,8 @@ def criterion_class_polynomials(level="full"):
         checks.append(Check(
             f"({r},{n}) residual T_w - sum f T_wC lies in [H,H], all w", ok))
         if r == 1 and n == 3:
-            dual = DualBasis(ctx)
-            ys, zs = center_bases_yz(ctx, polys, dual)
-            okc = all(is_central(ctx, y) for y in ys.values()) and \
-                all(is_central(ctx, z) for z in zs.values())
-            sy = SubspaceBasis(ctx.ring)
-            for y in ys.values():
-                sy.add(y.terms)
-            sz = SubspaceBasis(ctx.ring)
-            for z in zs.values():
-                sz.add(z.terms)
-            expected = len(polys.classes)
-            checks.append(Check(
-                f"({r},{n}) y_C and z_C central bases of the center",
-                okc and sy.rank == expected and sz.rank == expected))
+            checks.append(_central_bases_check(
+                ctx, polys, f"({r},{n}) y_C and z_C central bases of the center"))
     # symbolic integrality
     sym_sizes = [(2, 2)] if level != "full" else [(2, 2), (3, 2)]
     for r, n in sym_sizes:
@@ -364,23 +351,21 @@ def criterion_class_polynomials(level="full"):
         checks.append(Check(
             f"({r},{n}) symbolic f and g are denominator-free Laurent", ok))
         if (r, n) == (2, 2):
-            from .center import DualBasis, center_bases_yz, is_central
-            dual = DualBasis(ctx)
-            ys, zs = center_bases_yz(ctx, polys, dual)
-            okc = all(is_central(ctx, y) for y in ys.values()) and \
-                all(is_central(ctx, z) for z in zs.values())
-            from .linalg import SubspaceBasis
-            sy = SubspaceBasis(ctx.ring)
-            sz = SubspaceBasis(ctx.ring)
-            for y in ys.values():
-                sy.add(y.terms)
-            for z in zs.values():
-                sz.add(z.terms)
-            expected = len(polys.classes)
-            checks.append(Check(
-                "(2,2) symbolic y_C and z_C central bases",
-                okc and sy.rank == expected and sz.rank == expected))
+            checks.append(_central_bases_check(
+                ctx, polys, "(2,2) symbolic y_C and z_C central bases"))
     return checks
+
+
+def _central_bases_check(ctx, polys, name):
+    """y_C and z_C are central, and each family spans a space of dimension
+    #classes."""
+    from .center import DualBasis, center_bases_yz, is_central
+    from .linalg import span
+    families = [list(fam.values())
+                for fam in center_bases_yz(ctx, polys, DualBasis(ctx))]
+    central = all(is_central(ctx, x) for fam in families for x in fam)
+    ranks = [span(ctx.ring, [x.terms for x in fam]).rank for fam in families]
+    return Check(name, central and ranks == [len(polys.classes)] * 2)
 
 
 # -- criterion 7: center conjecture instances ------------------------------------------

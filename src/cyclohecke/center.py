@@ -16,7 +16,10 @@ terms of them modulo [H, H].  They are computed by the character-matrix
 method: chi_lambda(T_w) = sum_C f_{w,C} chi_lambda(T_{w_C}) with the square
 character matrix factored once per context (its Gauss-Jordan row operations
 are recorded and replayed on each right-hand side), and every result is
-certified by a membership check of the residual in [H, H].  The class
+certified by a membership check of the residual in [H, H].  The dual class
+polynomials g need no second factorization: they expand T_{w^{-1}} over the
+representatives permuted by beta_hat, so g_{w,C} = f_{w^{-1}, beta_hat(C)}
+is read off the f row of w^{-1}, residual check included.  The class
 polynomials are coordinates in the cocenter H/[H, H], so they do not depend
 on which minimal-length representative is chosen exactly when T_w - T_{w_C}
 lies in [H, H] for every minimal-length w of every class C;
@@ -149,9 +152,9 @@ def spans_equal(a, b):
 class ClassPolynomials:
     """Character-matrix solver for f_{w,C} and g_{w,C}."""
 
-    def __init__(self, ctx, classes=None, seminormal=None):
+    def __init__(self, ctx, seminormal=None):
         self.ctx = ctx
-        self.classes = classes if classes is not None else class_data(ctx.params)
+        self.classes = class_data(ctx.params)
         self.snd = seminormal if seminormal is not None else SeminormalData(ctx)
         self.shapes = self.snd.shapes
         if len(self.shapes) != len(self.classes):
@@ -164,14 +167,8 @@ class ClassPolynomials:
         self._beta_hat = {}
         for info in self.classes:
             self._beta_hat[conjugacy_invariant(info.rep.inverse())] = info.label
-        # the elements the f ("rep") and g ("hat") rows are expanded over
-        self._targets = {
-            "rep": self._rep_elements,
-            "hat": {info.label: self._rep_elements[self._beta_hat[info.label]]
-                    for info in self.classes},
-        }
         self._matrix_rows = None
-        self._eliminations = {}
+        self._elim = None
         self._commutators = None
 
     # -- characters ---------------------------------------------------------
@@ -189,19 +186,12 @@ class ClassPolynomials:
             ]
         return self._matrix_rows
 
-    def _elimination(self, kind):
-        """The character matrix over the "rep" or "hat" targets, factored
-        once; a singular matrix would contradict the cocenter basis theorem
-        and raises ArithmeticError."""
-        elim = self._eliminations.get(kind)
-        if elim is None:
-            rows = self.character_matrix()
-            if kind == "hat":
-                rows = [{info.label: row[self._beta_hat[info.label]]
-                         for info in self.classes} for row in rows]
-            elim = Elimination(self.ctx.ring, rows)
-            self._eliminations[kind] = elim
-        return elim
+    def _elimination(self):
+        """The character matrix, factored once; a singular matrix would
+        contradict the cocenter basis theorem and raises ArithmeticError."""
+        if self._elim is None:
+            self._elim = Elimination(self.ctx.ring, self.character_matrix())
+        return self._elim
 
     def commutator_basis(self):
         if self._commutators is None:
@@ -210,38 +200,34 @@ class ClassPolynomials:
 
     # -- f and g -------------------------------------------------------------
 
-    def _coefficients(self, kind, elt, check_residual):
+    def _coefficients(self, elt, check_residual):
         rhs = [self.snd.character(shape, elt) for shape in self.shapes]
-        sol = self._elimination(kind).solve(rhs)
+        sol = self._elimination().solve(rhs)
         coeffs = {info.label: sol[info.label] for info in self.classes}
-        if check_residual and not self.residual_in_commutators(kind, elt, coeffs):
-            raise AssertionError(("class-polynomial" if kind == "rep" else
-                                  "dual class-polynomial")
-                                 + " residual escaped [H, H]")
+        if check_residual and not self.residual_in_commutators(elt, coeffs):
+            raise AssertionError("class-polynomial residual escaped [H, H]")
         return coeffs
 
-    def residual_in_commutators(self, kind, elt, coeffs):
-        """elt - sum_C coeffs[C] T lies in [H, H], T running over the "rep"
-        (f rows) or "hat" (g rows) targets."""
-        targets = self._targets[kind]
+    def residual_in_commutators(self, elt, coeffs):
+        """elt - sum_C coeffs[C] T_{w_C} lies in [H, H]."""
         residual = elt - _combination(
-            self.ctx, ((targets[info.label], coeffs[info.label])
+            self.ctx, ((self._rep_elements[info.label], coeffs[info.label])
                        for info in self.classes))
         return self.commutator_basis().contains(residual.terms)
 
-    def f_for_element(self, elt, check_residual=True):
-        """Coefficients f with elt = sum_C f_C T_{w_C} modulo [H, H]."""
-        return self._coefficients("rep", elt, check_residual)
-
     def f_polys(self, w, check_residual=True):
-        return self.f_for_element(t_element(self.ctx, w), check_residual)
+        """Coefficients f with T_w = sum_C f_{w,C} T_{w_C} modulo [H, H]."""
+        return self._coefficients(t_element(self.ctx, w), check_residual)
 
     def g_polys(self, w, check_residual=True):
         """Coefficients with (T_{w^{-1}})^vee = sum_C g_{w,C} b_{w_C}^vee
-        modulo [H, H], where b_{w_C}^vee = T_{w_{beta_C}} for the class
-        containing w_{beta_C}^{-1}."""
-        return self._coefficients("hat", t_element(self.ctx, w.inverse()),
-                                  check_residual)
+        modulo [H, H], where b_{w_C}^vee = T_{w_{beta_hat(C)}}.  Expanding
+        T_{w^{-1}} over the targets T_{w_{beta_hat(C)}} is the f row of
+        w^{-1} relabelled, so g_{w,C} = f_{w^{-1}, beta_hat(C)}, and its
+        residual is that of the f row."""
+        f = self.f_polys(w.inverse(), check_residual)
+        return {info.label: f[self._beta_hat[info.label]]
+                for info in self.classes}
 
     def cp_representative(self, label):
         """The Chavli-Pfeiffer representative w_C = w_{beta_hat(C)}^{-1}."""
@@ -300,11 +286,9 @@ def _combination(ctx, pairs):
 
 
 def is_central(ctx, elt):
-    for token in range(ctx.params.n):
-        g = ctx.generator(token)
-        if not (elt * g - g * elt).is_zero():
-            return False
-    return True
+    """elt commutes with every generator, compared through the generator
+    actions rather than full products."""
+    return all(elt.rmul_gen(t) == elt.lmul_gen(t) for t in range(ctx.params.n))
 
 
 # -- the center conjecture checker ----------------------------------------------

@@ -206,7 +206,7 @@ def _class_poly_table(ctx, polys, words):
     for w in words:
         coeffs = polys.f_polys(w, check_residual=False)
         residual_ok = residual_ok and polys.residual_in_commutators(
-            "rep", t_element(ctx, w), coeffs)
+            t_element(ctx, w), coeffs)
         rows[format_word(bm_word(w))] = {
             "|".join(",".join(map(str, c)) for c in label):
                 ctx.ring.format(val)

@@ -44,7 +44,7 @@ from .group import (
     perm_identity,
     perm_transposition,
 )
-from .rings import elementary_symmetric
+from .rings import elementary_symmetric, invert_unit
 
 
 class HeckeError(ValueError):
@@ -69,7 +69,7 @@ class AlgebraContext:
         self.ring = ring
         self.xi = xi
         self.qs = qs
-        self.xi_inv = self._invert_unit(xi)
+        self.xi_inv = invert_unit(xi)
         self.xi_m1 = xi - ring.one()
         # signed elementary symmetric functions for the cyclotomic reduction
         self.cyc_coeffs = [
@@ -84,12 +84,6 @@ class AlgebraContext:
         # the next full garbage collection
         self._t_cache = {}
         self._jm_cache = {}
-
-    def _invert_unit(self, v):
-        from .rings import Laurent
-        if isinstance(v, Laurent):
-            return v.inverse_unit()
-        return self.ring.div(self.ring.one(), v)
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -404,7 +404,7 @@ class Laurent:
                     for _ in range(a):
                         term = term * v
                 else:
-                    inv = _generic_inverse(v, one)
+                    inv = invert_unit(v)
                     for _ in range(-a):
                         term = term * inv
             out = out + term
@@ -433,10 +433,12 @@ class Laurent:
         return f"Laurent({self.nq}, {self.terms})"
 
 
-def _generic_inverse(v, one):
+def invert_unit(v):
+    """The inverse of a unit: ``inverse_unit`` in the Laurent ring, where
+    ``1 / v`` would leave it, and ``1 / v`` in every field."""
     if isinstance(v, Laurent):
         return v.inverse_unit()
-    return one / v
+    return 1 / v
 
 
 def laurent_try_divide(num, den):

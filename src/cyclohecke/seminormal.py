@@ -46,6 +46,7 @@ from .rings import elementary_symmetric
 from .group import coxeter_word
 from .tableaux import (
     StdTableau,
+    content_sets,
     content_vector,
     enumerate_multipartitions,
     node_below,
@@ -211,7 +212,8 @@ class SeminormalData:
         self.ctx = ctx
         self.shapes = enumerate_multipartitions(ctx.params.r, ctx.params.n)
         self.std = {shape: standard_tableaux(shape) for shape in self.shapes}
-        self.content_sets = self._content_sets()
+        self.content_sets = content_sets(ctx.params.r, ctx.params.n,
+                                         ctx.xi, ctx.qs)
         self._ft = {}
         self._f = {}
         self._g = {}
@@ -227,17 +229,6 @@ class SeminormalData:
         self._basis_char = {}
 
     # -- raw combinatorial data ------------------------------------------
-
-    def _content_sets(self):
-        n = self.ctx.params.n
-        sets = [[] for _ in range(n)]
-        for shape in self.shapes:
-            for t in self.std[shape]:
-                cv = content_vector(t, self.ctx.xi, self.ctx.qs)
-                for k in range(n):
-                    if cv[k] not in sets[k]:
-                        sets[k].append(cv[k])
-        return sets
 
     def contents(self, t):
         return content_vector(t, self.ctx.xi, self.ctx.qs)

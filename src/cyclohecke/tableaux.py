@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .rings import invert_unit
+
 
 # -- partitions ---------------------------------------------------------------
 
@@ -281,17 +283,10 @@ def content(t, k, xi, Q):
         for _ in range(d):
             val = val * xi
     else:
-        inv = _inv(xi)
+        inv = invert_unit(xi)
         for _ in range(-d):
             val = val * inv
     return val
-
-
-def _inv(x):
-    from .rings import Laurent
-    if isinstance(x, Laurent):
-        return x.inverse_unit()
-    return 1 / x
 
 
 def content_vector(t, xi, Q):
@@ -303,10 +298,9 @@ def content_sets(r, n, xi, Q):
     sets = [[] for _ in range(n)]
     for shape in enumerate_multipartitions(r, n):
         for t in standard_tableaux(shape):
-            for k in range(1, n + 1):
-                val = content(t, k, xi, Q)
-                if val not in sets[k - 1]:
-                    sets[k - 1].append(val)
+            for k, val in enumerate(content_vector(t, xi, Q)):
+                if val not in sets[k]:
+                    sets[k].append(val)
     return [tuple(s) for s in sets]
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from cyclohecke.group import (
     length,
 )
 from cyclohecke.hecke import t_element
-from cyclohecke.linalg import SubspaceBasis, nullspace, span
+from cyclohecke.linalg import SubspaceBasis, nullspace, solve, span
 from cyclohecke.rings import RingSpec
 from cyclohecke.seminormal import SeminormalData
 
@@ -151,38 +152,90 @@ def test_center_conjecture_rejects_xi_one():
         center_conjecture_report(1, 2, 1, (0,))
 
 
-@pytest.fixture(scope="module")
-def polys22():
-    ctx = spec_context(2, 2)
+# beta_hat is the identity at (2,2) and moves classes at (3,2), so only the
+# second size can tell g_{w,C} from a wrongly relabelled f row
+@pytest.fixture(scope="module", params=[(2, 2), (3, 2)], ids=["2-2", "3-2"])
+def spec_polys(request):
+    ctx = spec_context(*request.param)
     return ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
 
 
-def test_f_delta_on_representatives(polys22):
-    ctx = polys22.ctx
-    for info in polys22.classes:
-        coeffs = polys22.f_polys(info.rep)
-        for info2 in polys22.classes:
+def test_f_delta_on_representatives(spec_polys):
+    ctx = spec_polys.ctx
+    for info in spec_polys.classes:
+        coeffs = spec_polys.f_polys(info.rep)
+        for info2 in spec_polys.classes:
             want = ctx.ring.one() if info2.label == info.label \
                 else ctx.ring.zero()
             assert coeffs[info2.label] == want
 
 
-def test_g_delta_on_cp_representatives(polys22):
-    ctx = polys22.ctx
-    for info in polys22.classes:
-        wc = polys22.cp_representative(info.label)
+def test_g_delta_on_cp_representatives(spec_polys):
+    ctx = spec_polys.ctx
+    for info in spec_polys.classes:
+        wc = spec_polys.cp_representative(info.label)
         assert conjugacy_invariant(wc) == info.label
-        coeffs = polys22.g_polys(wc)
-        for info2 in polys22.classes:
+        coeffs = spec_polys.g_polys(wc)
+        for info2 in spec_polys.classes:
             want = ctx.ring.one() if info2.label == info.label \
                 else ctx.ring.zero()
             assert coeffs[info2.label] == want
 
 
-def test_residual_membership_all_elements(polys22):
-    for w in enumerate_group(polys22.ctx.params):
-        polys22.f_polys(w, check_residual=True)
-        polys22.g_polys(w, check_residual=True)
+def test_residual_membership_all_elements(spec_polys):
+    for w in enumerate_group(spec_polys.ctx.params):
+        spec_polys.f_polys(w, check_residual=True)
+        spec_polys.g_polys(w, check_residual=True)
+
+
+@pytest.mark.parametrize("make,moved", [
+    (lambda: spec_context(3, 2), 6),
+    (lambda: fraction_context(3, 1), 2),
+], ids=["3-2-spec", "3-1-fraction"])
+def test_g_polys_solve_the_permuted_character_matrix(make, moved):
+    # reference: g_{w,C} from its own system, the character matrix with
+    # column C replaced by chi(T_{w_{beta_hat(C)}}), right-hand side
+    # chi(T_{w^{-1}})
+    ctx = make()
+    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
+    beta_hat = {conjugacy_invariant(info.rep.inverse()): info.label
+                for info in polys.classes}
+    assert sum(c != beta_hat[c] for c in beta_hat) == moved
+    hat = [{c: row[beta_hat[c]] for c in row} for row in polys.character_matrix()]
+    for w in enumerate_group(ctx.params):
+        target = t_element(ctx, w.inverse())
+        rhs = [polys.snd.character(shape, target) for shape in polys.shapes]
+        want = solve(ctx.ring, hat, rhs)
+        got = polys.g_polys(w)
+        assert list(got) == [info.label for info in polys.classes]
+        assert got == want
+        assert [ctx.ring.format(got[c]) for c in got] == \
+            [ctx.ring.format(want[c]) for c in got]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spec_context(1, 3),
+    lambda: spec_context(2, 3),
+    lambda: spec_context(3, 2),
+], ids=["1-3", "2-3", "3-2"])
+def test_is_central_agrees_with_products(make):
+    # at r = 1, T_0 is the scalar Q_1
+    ctx = make()
+    gens = [ctx.generator(t) for t in range(ctx.params.n)]
+
+    def by_products(elt):
+        return all(elt * g == g * elt for g in gens)
+
+    elements, _ = center(ctx)
+    rng = random.Random(7)
+    indices = list(ctx.basis_indices())
+    for _ in range(20):
+        a, b = rng.sample(indices, 2)
+        elements.append(ctx.from_index(a, ctx.ring.from_int(rng.randint(1, 5)))
+                        + ctx.from_index(b, ctx.ring.from_int(rng.randint(-5, -1))))
+    verdicts = [is_central(ctx, elt) for elt in elements]
+    assert verdicts == [by_products(elt) for elt in elements]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_geck_pfeiffer_zero_one_on_minimal_coxeter():

@@ -104,6 +104,28 @@ def test_class_polys_compare_reps():
     }
 
 
+def test_dual_class_polys():
+    code, rep = run_json(["hecke", "dual-class-polys", "--r", "3", "--n", "2",
+                          "--spec", "xi=2,Q=1,100,10000"])
+    assert code == 0
+    assert rep["checks"] == [
+        {"name": "y_C and z_C are central", "passed": True, "detail": ""}]
+    table = rep["result"]["g"]
+    assert len(table) == 18                # one row per element of W
+    classes = set(table["e"])
+    assert len(classes) == 9
+    assert all(set(row) == classes for row in table.values())
+
+    def nonzero(row):
+        return {c: v for c, v in row.items() if v != "0"}
+
+    assert nonzero(table["e"]) == {"1,1||": "1"}
+    # g_{t,C} is f_{t^{-1},beta_hat(C)}: t^{-1} = t t represents 1||1,
+    # and beta_hat sends 1|1|, the class of t, to 1||1
+    assert nonzero(table["t t"]) == {"1||1": "1"}
+    assert nonzero(table["t"]) == {"1|1|": "1"}
+
+
 def test_cocenter_rank():
     code, rep = run_json(["hecke", "cocenter-rank", "--r", "2", "--n", "2",
                           "--spec", "xi=-1,Q=1,-1"])

@@ -14,6 +14,7 @@ from cyclohecke.rings import (
     RingSpec,
     cyclotomic_polynomial,
     elementary_symmetric,
+    invert_unit,
     laurent_try_divide,
     poly_bezout,
     poly_divmod,
@@ -187,6 +188,20 @@ def test_ring_axioms_randomized():
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert a + zero == a and a * one == a
+
+
+@pytest.mark.parametrize("ring,value", [
+    (RingSpec.rational(), Fraction(-3, 7)),
+    (RingSpec.cyclotomic(5), Cyc.zeta(5, 2) + 1),
+    (RingSpec.laurent(2), Laurent.monomial(2, (1, -2, 0), -1)),
+    (RingSpec.fraction(2), LaurentFrac(Laurent.var_xi(2) + Laurent.var_q(2, 1))),
+], ids=["rational", "cyclotomic", "laurent", "fraction"])
+def test_invert_unit_in_every_ring_kind(ring, value):
+    inv = invert_unit(value)
+    assert ring.contains(inv)
+    assert value * inv == ring.one()
+    if ring.is_field:
+        assert inv == ring.invert(value)
 
 
 def test_mixed_rings_rejected():
