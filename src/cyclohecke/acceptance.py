@@ -334,22 +334,26 @@ def criterion_class_polynomials(level="full"):
         if r == 1 and n == 3:
             checks.append(_central_bases_check(
                 ctx, polys, f"({r},{n}) y_C and z_C central bases of the center"))
-    # symbolic integrality
-    sym_sizes = [(2, 2)] if level != "full" else [(2, 2), (3, 2)]
+    # symbolic integrality, and the observed absence of negative exponents
+    sym_sizes = [(2, 2)] if level != "full" else [(2, 2), (3, 2), (2, 3), (1, 4)]
     for r, n in sym_sizes:
         ctx = _fraction_ctx(r, n)
         polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
-        ok = True
+        fs = {w: polys.f_polys(w, check_residual=False)
+              for w in enumerate_group(ctx.params)}
+        rows = list(fs.values()) + [polys.g_from_f(fs[w.inverse()]) for w in fs]
         try:
-            for w in enumerate_group(ctx.params):
-                for val in polys.f_polys(w, check_residual=False).values():
-                    val.as_laurent()
-                for val in polys.g_polys(w, check_residual=False).values():
-                    val.as_laurent()
+            values = [val.as_laurent() for row in rows for val in row.values()]
         except ArithmeticError:
-            ok = False
+            values = None
         checks.append(Check(
-            f"({r},{n}) symbolic f and g are denominator-free Laurent", ok))
+            f"({r},{n}) symbolic f and g are denominator-free Laurent",
+            values is not None))
+        if values is not None:
+            negative = sum(1 for val in values if any(min(k) < 0 for k in val.terms))
+            checks.append(Check(
+                f"({r},{n}) observed: no symbolic f or g has a negative exponent",
+                negative == 0, f"{negative} of {len(values)} values"))
         if (r, n) == (2, 2):
             checks.append(_central_bases_check(
                 ctx, polys, "(2,2) symbolic y_C and z_C central bases"))

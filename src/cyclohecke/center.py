@@ -225,7 +225,10 @@ class ClassPolynomials:
         T_{w^{-1}} over the targets T_{w_{beta_hat(C)}} is the f row of
         w^{-1} relabelled, so g_{w,C} = f_{w^{-1}, beta_hat(C)}, and its
         residual is that of the f row."""
-        f = self.f_polys(w.inverse(), check_residual)
+        return self.g_from_f(self.f_polys(w.inverse(), check_residual))
+
+    def g_from_f(self, f):
+        """The g row of w read off the f row ``f`` of w^{-1}."""
         return {info.label: f[self._beta_hat[info.label]]
                 for info in self.classes}
 
@@ -266,7 +269,7 @@ def center_bases_yz(ctx, polys, dual):
     """(y_C, z_C) families indexed by class labels."""
     ys, zs = {}, {}
     fs = {w: polys.f_polys(w, check_residual=False) for w in dual.order}
-    gs = {w: polys.g_polys(w, check_residual=False) for w in dual.order}
+    gs = {w: polys.g_from_f(fs[w.inverse()]) for w in dual.order}
     for info in polys.classes:
         ys[info.label] = _combination(
             ctx, ((dual.dual(w), fs[w][info.label]) for w in dual.order))

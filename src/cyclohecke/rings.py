@@ -7,7 +7,14 @@ Four kinds of coefficients are supported, all immutable and hashable:
 * ``Cyc`` for the cyclotomic field $\QQ(\zeta_e)$, stored as a vector of
   rationals modulo the $e$-th cyclotomic polynomial $\Phi_e$.
 * ``Laurent`` for the ring $\ZZ[\xi^{\pm1}, Q_1^{\pm1}, \dots, Q_r^{\pm1}]$,
-  a sparse map from integer exponent vectors to integer coefficients.
+  a sparse map from integer exponent vectors to nonzero integer
+  coefficients.  Outside input is validated: ``Laurent(nq, terms)``,
+  ``monomial``, ``const``, ``parse`` and the argument of ``shift`` check the
+  exponent arity and reject a coefficient that is not an integer (an
+  integral ``Fraction`` is stored as its ``int``).  Arithmetic results
+  (sums, negatives, products, shifts, primitive parts, exact quotients)
+  already hold these invariants and are built unchecked by
+  ``Laurent._trusted``.
 * ``LaurentFrac`` for the fraction field of ``Laurent``.  The denominator is
   kept as a multiset of primitive factors together with a positive integer
   content; cancellation is opportunistic (exact division against each stored
@@ -38,6 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 
 
 class CoefficientError(TypeError):
@@ -261,6 +269,15 @@ def _cyc_reduce(e, coeffs):
 # sparse multivariate Laurent polynomials in xi, Q_1..Q_r
 # ---------------------------------------------------------------------------
 
+def _integral(c):
+    """c as an int: a Laurent coefficient must be an integer."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    raise ValueError("Laurent coefficients must be integers")
+
+
 class Laurent:
     """Element of Z[xi^{+-1}, Q_1^{+-1}, .., Q_r^{+-1}] with r = nq."""
 
@@ -269,26 +286,34 @@ class Laurent:
     def __init__(self, nq, terms=None):
         clean = {}
         for exps, c in (terms or {}).items():
+            c = _integral(c)
             if c:
                 exps = tuple(exps)
                 if len(exps) != nq + 1:
                     raise ValueError("exponent vector has wrong arity")
                 clean[exps] = clean.get(exps, 0) + c
-        clean = {k: v for k, v in clean.items() if v}
-        object.__setattr__(self, "nq", nq)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _fill_laurent(self, nq, {k: v for k, v in clean.items() if v})
+
+    @staticmethod
+    def _trusted(nq, terms):
+        """A value from a terms dict that already holds its invariants (int
+        exponent tuples of length nq + 1, nonzero int coefficients); nothing
+        is checked."""
+        out = object.__new__(Laurent)
+        _fill_laurent(out, nq, terms)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("Laurent is immutable")
 
     @staticmethod
     def const(nq, c):
-        return Laurent(nq, {tuple([0] * (nq + 1)): int(c)})
+        c = _integral(c)
+        return Laurent._trusted(nq, {(0,) * (nq + 1): c} if c else {})
 
     @staticmethod
     def monomial(nq, exps, c=1):
-        return Laurent(nq, {tuple(exps): int(c)})
+        return Laurent(nq, {tuple(exps): c})
 
     @staticmethod
     def var_xi(nq):
@@ -313,13 +338,17 @@ class Laurent:
         o = self._check(other)
         terms = dict(self.terms)
         for k, v in o.terms.items():
-            terms[k] = terms.get(k, 0) + v
-        return Laurent(self.nq, terms)
+            v += terms.get(k, 0)
+            if v:
+                terms[k] = v
+            else:
+                del terms[k]
+        return Laurent._trusted(self.nq, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent(self.nq, {k: -v for k, v in self.terms.items()})
+        return Laurent._trusted(self.nq, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -328,13 +357,18 @@ class Laurent:
         return (-self) + self._check(other)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            if other == 1:
+                return self
+            return Laurent._trusted(
+                self.nq, {k: v * other for k, v in self.terms.items()} if other else {})
         o = self._check(other)
         terms = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in o.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+                k = tuple(map(add, k1, k2))
                 terms[k] = terms.get(k, 0) + v1 * v2
-        return Laurent(self.nq, terms)
+        return Laurent._trusted(self.nq, {k: v for k, v in terms.items() if v})
 
     __rmul__ = __mul__
 
@@ -362,7 +396,7 @@ class Laurent:
         if not self.is_unit():
             raise NonFieldDivisionError("only monomial units invert in the Laurent ring")
         (exps, c), = self.terms.items()
-        return Laurent.monomial(self.nq, tuple(-a for a in exps), c)
+        return Laurent._trusted(self.nq, {tuple(map(neg, exps)): c})
 
     def content(self):
         return math.gcd(*[abs(c) for c in self.terms.values()]) if self.terms else 0
@@ -370,14 +404,14 @@ class Laurent:
     def min_exponents(self):
         if not self.terms:
             return tuple([0] * (self.nq + 1))
-        cols = zip(*self.terms.keys())
-        return tuple(min(col) for col in cols)
+        return tuple(map(min, zip(*self.terms)))
 
     def shift(self, exps):
-        return Laurent(
-            self.nq,
-            {tuple(a + b for a, b in zip(k, exps)): v for k, v in self.terms.items()},
-        )
+        exps = tuple(exps)
+        if len(exps) != self.nq + 1:
+            raise ValueError("exponent vector has wrong arity")
+        return Laurent._trusted(
+            self.nq, {tuple(map(add, k, exps)): v for k, v in self.terms.items()})
 
     def primitive(self):
         """(content-and-sign-free part, integer scale) with scale*part == self."""
@@ -387,7 +421,7 @@ class Laurent:
         lead = self.terms[max(self.terms)]
         if lead < 0:
             c = -c
-        return Laurent(self.nq, {k: v // c for k, v in self.terms.items()}), c
+        return Laurent._trusted(self.nq, {k: v // c for k, v in self.terms.items()}), c
 
     def specialize(self, values, one):
         """Evaluate at values = (xi, Q_1, .., Q_r) living in some target ring."""
@@ -433,6 +467,12 @@ class Laurent:
         return f"Laurent({self.nq}, {self.terms})"
 
 
+def _fill_laurent(out, nq, terms):
+    object.__setattr__(out, "nq", nq)
+    object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "_hash", None)
+
+
 def invert_unit(v):
     """The inverse of a unit: ``inverse_unit`` in the Laurent ring, where
     ``1 / v`` would leave it, and ``1 / v`` in every field."""
@@ -445,8 +485,9 @@ def laurent_try_divide(num, den):
     """Exact quotient num/den in the Laurent ring, or None.
 
     Division with remainder against a single divisor, lex term order after
-    clearing negative exponents; succeeds only when the remainder vanishes
-    and the quotient has integer coefficients.
+    clearing negative exponents, in integers: each step writes one quotient
+    coefficient, so a step that does not divide exactly, or a leading term
+    that the divisor's does not divide, means no quotient in the ring.
     """
     if den.is_zero():
         raise ZeroDivisionError("Laurent division by zero")
@@ -454,28 +495,30 @@ def laurent_try_divide(num, den):
         return num
     shift_n = num.min_exponents()
     shift_d = den.min_exponents()
-    n = {tuple(a - b for a, b in zip(k, shift_n)): Fraction(v) for k, v in num.terms.items()}
-    d = {tuple(a - b for a, b in zip(k, shift_d)): v for k, v in den.terms.items()}
+    n = {tuple(map(sub, k, shift_n)): v for k, v in num.terms.items()}
+    d = {tuple(map(sub, k, shift_d)): v for k, v in den.terms.items()}
     lead_d = max(d)
+    lead_c = d[lead_d]
     quot = {}
     while n:
         lead_n = max(n)
-        exps = tuple(a - b for a, b in zip(lead_n, lead_d))
-        if any(a < 0 for a in exps):
+        exps = tuple(map(sub, lead_n, lead_d))
+        if min(exps) < 0:
             return None
-        c = n[lead_n] / d[lead_d]
+        c, rem = divmod(n[lead_n], lead_c)
+        if rem:
+            return None
         quot[exps] = c
         for k, v in d.items():
-            kk = tuple(a + b for a, b in zip(k, exps))
-            nv = n.get(kk, Fraction(0)) - c * v
+            kk = tuple(map(add, k, exps))
+            nv = n.get(kk, 0) - c * v
             if nv:
                 n[kk] = nv
             else:
-                n.pop(kk, None)
-    if any(c.denominator != 1 for c in quot.values()):
-        return None
-    back = tuple(a - b for a, b in zip(shift_n, shift_d))
-    return Laurent(num.nq, {k: int(v) for k, v in quot.items()}).shift(back)
+                del n[kk]
+    back = tuple(map(sub, shift_n, shift_d))
+    return Laurent._trusted(
+        num.nq, {tuple(map(add, k, back)): v for k, v in quot.items()})
 
 
 class LaurentFrac:
@@ -510,7 +553,7 @@ class LaurentFrac:
                     factors.pop(f, None)
             g = math.gcd(num.content(), scale)
             if g > 1:
-                num = Laurent(num.nq, {k: v // g for k, v in num.terms.items()})
+                num = Laurent._trusted(num.nq, {k: v // g for k, v in num.terms.items()})
                 scale //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "scale", scale)
@@ -537,18 +580,16 @@ class LaurentFrac:
         return out
 
     def _check(self, other):
-        if isinstance(other, int):
-            return LaurentFrac.const(self.nq, other)
-        if isinstance(other, Fraction):
+        if isinstance(other, LaurentFrac):
+            if other.nq != self.nq:
+                raise CoefficientError("mixed Laurent variable sets")
+            return other
+        if isinstance(other, (int, Fraction)):
             return LaurentFrac.const(self.nq, other)
         if isinstance(other, Laurent):
             if other.nq != self.nq:
                 raise CoefficientError("mixed Laurent variable sets")
             return LaurentFrac(other)
-        if isinstance(other, LaurentFrac):
-            if other.nq != self.nq:
-                raise CoefficientError("mixed Laurent variable sets")
-            return other
         raise CoefficientError(f"cannot mix LaurentFrac with {type(other).__name__}")
 
     def __add__(self, other):

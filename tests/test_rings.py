@@ -1,3 +1,4 @@
+import doctest
 import random
 from fractions import Fraction
 
@@ -135,6 +136,12 @@ def test_laurent_specialize_is_hom():
     assert (q1 + q2).specialize((Fraction(2), Fraction(1), Fraction(-1)), one) == 0
 
 
+def test_module_doctests():
+    from cyclohecke import rings
+    result = doctest.testmod(rings)
+    assert (result.attempted, result.failed) == (5, 0)
+
+
 def test_exact_division():
     R = RingSpec.laurent(1)
     xi = R.xi()
@@ -143,6 +150,24 @@ def test_exact_division():
     q1 = R.q(1)
     assert laurent_try_divide((xi - q1) * (xi + q1) * q1, xi - q1) \
         == (xi + q1) * q1
+
+
+def test_laurent_coefficients_must_be_integers():
+    for build in (lambda: Laurent(1, {(0, 0): Fraction(1, 2)}),
+                  lambda: Laurent.const(1, Fraction(1, 2)),
+                  lambda: Laurent.monomial(1, (1, 0), Fraction(-3, 2)),
+                  lambda: Laurent.const(1, 0.5)):
+        with pytest.raises(ValueError, match="Laurent coefficients must be integers"):
+            build()
+    # integral Fractions are stored as ints, so == and hash do not change
+    v = Laurent(1, {(0, 0): Fraction(3), (1, 0): Fraction(-2, 1), (0, 1): Fraction(0)})
+    assert all(type(c) is int for c in v.terms.values())
+    assert v == Laurent(1, {(0, 0): 3, (1, 0): -2})
+    assert hash(v) == hash(Laurent(1, {(0, 0): 3, (1, 0): -2}))
+    assert RingSpec.laurent(1).contains(v)
+    c = Laurent.const(1, Fraction(4))
+    assert c.terms == {(0, 0): 4} and c == 4 and hash(c) == hash(4)
+    assert Laurent.monomial(1, (1, 0), Fraction(-2)).terms == {(1, 0): -2}
 
 
 def test_fraction_field():
@@ -338,3 +363,103 @@ def test_constants_hash_like_rationals(ring, data):
         if c.denominator == 1:
             k = int(c)
             assert value == k and hash(value) == hash(k) and len({value, k}) == 1
+
+
+def _assert_canonical(x, nq):
+    """x is the value the validating constructor builds from its terms: no
+    zero coefficient, int coefficients, int exponent tuples of length nq+1."""
+    ref = Laurent(nq, dict(x.terms))
+    assert x == ref and hash(x) == hash(ref)
+    assert all(type(v) is int and v for v in x.terms.values())
+    assert all(type(k) is tuple and len(k) == nq + 1 and all(type(a) is int for a in k)
+               for k in x.terms)
+
+
+def _unchecked_results(nq, a, b, k, e):
+    results = [a + b, a - b, -a, a * b, a * k, k * a, a.shift(e), a.primitive()[0],
+               Laurent.const(nq, k)]
+    if not b.is_zero():
+        q = laurent_try_divide(a * b, b)
+        assert q == a
+        results.append(q)
+    for x in results:
+        _assert_canonical(x, nq)
+
+
+@pytest.mark.parametrize("nq", [0, 1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_unchecked_results_are_canonical(nq, data):
+    a, b = data.draw(_laurent(nq)), data.draw(_laurent(nq))
+    k = data.draw(_small)
+    e = data.draw(st.tuples(*[st.integers(-2, 2)] * (nq + 1)))
+    _unchecked_results(nq, a, b, k, e)
+
+
+def test_unchecked_results_drop_cancelled_terms():
+    xi, q1 = Laurent.var_xi(1), Laurent.var_q(1, 1)
+    # (xi + 1) + (xi - 1) and (xi + 1)(xi - 1) cancel a key each
+    _unchecked_results(1, xi + 1, xi - 1, 0, (1, -1))
+    _unchecked_results(1, xi - q1, xi + q1, -2, (0, 2))
+    assert ((xi + 1) * (xi - 1)).terms == {(2, 0): 1, (0, 0): -1}
+    assert ((xi + 1) + (1 - xi)).terms == {(0, 0): 2}
+
+
+def _fraction_try_divide(num, den):
+    """Long division over Fraction, accepting only an integral quotient: the
+    reference for laurent_try_divide."""
+    if den.is_zero():
+        raise ZeroDivisionError("Laurent division by zero")
+    if num.is_zero():
+        return num
+    shift_n = num.min_exponents()
+    shift_d = den.min_exponents()
+    n = {tuple(a - b for a, b in zip(k, shift_n)): Fraction(v) for k, v in num.terms.items()}
+    d = {tuple(a - b for a, b in zip(k, shift_d)): v for k, v in den.terms.items()}
+    lead_d = max(d)
+    quot = {}
+    while n:
+        lead_n = max(n)
+        exps = tuple(a - b for a, b in zip(lead_n, lead_d))
+        if any(a < 0 for a in exps):
+            return None
+        c = n[lead_n] / d[lead_d]
+        quot[exps] = c
+        for k, v in d.items():
+            kk = tuple(a + b for a, b in zip(k, exps))
+            nv = n.get(kk, Fraction(0)) - c * v
+            if nv:
+                n[kk] = nv
+            else:
+                n.pop(kk, None)
+    if any(c.denominator != 1 for c in quot.values()):
+        return None
+    back = tuple(a - b for a, b in zip(shift_n, shift_d))
+    return Laurent(num.nq, {k: int(v) for k, v in quot.items()}).shift(back)
+
+
+@pytest.mark.parametrize("nq", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_try_divide_matches_fraction_long_division(nq, data):
+    a = data.draw(_laurent(nq))
+    b = data.draw(_laurent(nq).filter(lambda p: not p.is_zero()))
+    c = data.draw(_laurent(nq).filter(lambda p: not p.is_zero()))
+    k = data.draw(st.sampled_from([2, 3, -2, -4]))
+    # random pairs, exact quotients, and rational quotients a/k that are not
+    # integral unless k divides the content of a
+    for num, den in [(a, b), (a * b, b), (a * b * c, b * c), (a * b, b * k),
+                     (a * b * c, b * k), (-a * b, b)]:
+        want = _fraction_try_divide(num, den)
+        got = laurent_try_divide(num, den)
+        assert got == want
+        if got is not None:
+            _assert_canonical(got, nq)
+
+
+def test_try_divide_rejects_rational_quotients():
+    xi, q1 = Laurent.var_xi(1), Laurent.var_q(1, 1)
+    assert laurent_try_divide(xi + 1, 2 * xi + 2) is None
+    assert laurent_try_divide(3 * xi * xi - 3, -3 * xi + 3) == -xi - 1
+    assert laurent_try_divide((xi - q1) * 2, (xi - q1) * 4) is None
+    assert _fraction_try_divide(xi + 1, 2 * xi + 2) is None
