@@ -309,36 +309,31 @@ def criterion_center_dims(level="full"):
 
 def criterion_class_polynomials(level="full"):
     from .center import ClassPolynomials
-    from .seminormal import SeminormalData
     checks = []
-    for r, n in [(2, 2), (1, 3)]:
-        ctx = _spec_ctx(r, n)
-        polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
-        ok = True
-        for info in polys.classes:
-            coeffs = polys.f_polys(info.rep)
-            for info2 in polys.classes:
-                want = ctx.ring.one() if info2.label == info.label \
-                    else ctx.ring.zero()
-                ok = ok and coeffs[info2.label] == want
-        checks.append(Check(f"({r},{n}) f on representatives is a delta", ok))
-        ok = True
-        for w in enumerate_group(ctx.params):
-            try:
-                polys.f_polys(w, check_residual=True)
-            except AssertionError:
-                ok = False
-                break
+    for tag, r, n, xi, qs in [
+            ("(2,2)", 2, 2, 2, (1, 100)), ("(1,3)", 1, 3, 2, (1,)),
+            ("(2,2) non-semisimple xi=-1 Q=(1,-1)", 2, 2, -1, (1, -1))]:
+        ctx = _spec_ctx(r, n, Fraction(xi), [Fraction(q) for q in qs])
+        polys = ClassPolynomials(ctx)
+        fs = {w: polys.f_polys(w, check_residual=False)
+              for w in enumerate_group(ctx.params)}
+        one, zero = ctx.ring.one(), ctx.ring.zero()
+        ok = all(fs[info.rep][c.label] == (one if c is info else zero)
+                 for info in polys.classes for c in polys.classes)
+        checks.append(Check(f"{tag} f on representatives is a delta", ok))
+        ok = all(polys.residual_in_commutators(t_element(ctx, w), f)
+                 for w, f in fs.items())
         checks.append(Check(
-            f"({r},{n}) residual T_w - sum f T_wC lies in [H,H], all w", ok))
+            f"{tag} residual T_w - sum f T_wC lies in [H,H], all w", ok))
         if r == 1 and n == 3:
             checks.append(_central_bases_check(
-                ctx, polys, f"({r},{n}) y_C and z_C central bases of the center"))
+                ctx, polys, fs, f"{tag} y_C and z_C central bases of the center"))
     # symbolic integrality, and the observed absence of negative exponents
-    sym_sizes = [(2, 2)] if level != "full" else [(2, 2), (3, 2), (2, 3), (1, 4)]
+    sym_sizes = [(2, 2)] if level != "full" else \
+        [(2, 2), (3, 2), (2, 3), (1, 4), (3, 3)]
     for r, n in sym_sizes:
         ctx = _fraction_ctx(r, n)
-        polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
+        polys = ClassPolynomials(ctx)
         fs = {w: polys.f_polys(w, check_residual=False)
               for w in enumerate_group(ctx.params)}
         rows = list(fs.values()) + [polys.g_from_f(fs[w.inverse()]) for w in fs]
@@ -356,17 +351,17 @@ def criterion_class_polynomials(level="full"):
                 negative == 0, f"{negative} of {len(values)} values"))
         if (r, n) == (2, 2):
             checks.append(_central_bases_check(
-                ctx, polys, "(2,2) symbolic y_C and z_C central bases"))
+                ctx, polys, fs, "(2,2) symbolic y_C and z_C central bases"))
     return checks
 
 
-def _central_bases_check(ctx, polys, name):
-    """y_C and z_C are central, and each family spans a space of dimension
-    #classes."""
+def _central_bases_check(ctx, polys, fs, name):
+    """y_C and z_C, built from the f rows ``fs`` of every element, are
+    central, and each family spans a space of dimension #classes."""
     from .center import DualBasis, center_bases_yz, is_central
     from .linalg import span
     families = [list(fam.values())
-                for fam in center_bases_yz(ctx, polys, DualBasis(ctx))]
+                for fam in center_bases_yz(ctx, polys, DualBasis(ctx), fs)]
     central = all(is_central(ctx, x) for fam in families for x in fam)
     ranks = [span(ctx.ring, [x.terms for x in fam]).rank for fam in families]
     return Check(name, central and ranks == [len(polys.classes)] * 2)
@@ -421,8 +416,8 @@ def criterion_klr(level="full"):
 # -- criterion 9: cross-oracle consistency ----------------------------------------------
 
 def criterion_cross_oracles(level="full", seed=0):
-    from .center import ClassPolynomials, class_data, commutator_subspace
-    from .linalg import solve
+    from .center import ClassPolynomials
+    from .linalg import Elimination
     from .seminormal import SeminormalData, check_semisimple
     rng = random.Random(seed)
     checks = []
@@ -443,61 +438,54 @@ def criterion_cross_oracles(level="full", seed=0):
         checks.append(Check(
             f"({r},{n}) characters: seminormal matrices = tau formula "
             f"= regular trace", ok))
-    # symbolic class polynomials specialize correctly
-    ctx_sym = _fraction_ctx(2, 2)
-    polys_sym = ClassPolynomials(ctx_sym, seminormal=SeminormalData(ctx_sym))
-    words = list(enumerate_group(GroupParams(2, 2)))
-    sym_vals = {w: polys_sym.f_polys(w, check_residual=False) for w in words}
-    ok = True
-    found = 0
-    while found < 3:
+    # symbolic class polynomials specialize correctly, at random semisimple
+    # points and at fixed non-semisimple ones
+    sym_f = {}
+    for r, n in [(2, 2), (2, 3)]:
+        polys_sym = ClassPolynomials(_fraction_ctx(r, n))
+        sym_f[r, n] = {w: polys_sym.f_polys(w, check_residual=False)
+                       for w in enumerate_group(GroupParams(r, n))}
+
+    def specializes(ctx_sp, check_residual):
+        polys_sp = ClassPolynomials(ctx_sp)
+        values = (ctx_sp.xi,) + tuple(ctx_sp.qs)
+        return all(
+            polys_sp.f_polys(w, check_residual=check_residual) ==
+            {c: v.as_laurent().specialize(values, Fraction(1)) for c, v in row.items()}
+            for w, row in sym_f[ctx_sp.params.r, ctx_sp.params.n].items())
+
+    semisimple = []
+    while len(semisimple) < 3:
         xi = Fraction(rng.randint(2, 7))
         qs = [Fraction(rng.randint(1, 4)), Fraction(rng.randint(5, 50)) ** 2]
         ctx_sp = _spec_ctx(2, 2, xi, qs)
-        if not check_semisimple(ctx_sp)[0]:
-            continue
-        found += 1
-        polys_sp = ClassPolynomials(ctx_sp, seminormal=SeminormalData(ctx_sp))
-        values = (xi,) + tuple(qs)
-        for w in words:
-            direct = polys_sp.f_polys(w, check_residual=False)
-            for label, val in sym_vals[w].items():
-                lau = val.as_laurent()
-                evaluated = lau.specialize(values, Fraction(1))
-                ok = ok and evaluated == direct[label]
+        if check_semisimple(ctx_sp)[0]:
+            semisimple.append(ctx_sp)
+    ok = all([specializes(ctx_sp, False) for ctx_sp in semisimple])
     checks.append(Check(
         "(2,2) symbolic f specialize to directly computed values "
         "(3 random specializations)", ok))
-    # r=1 class polynomials against a commutator-membership solver on S_3
-    ctx = _spec_ctx(1, 3)
-    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
-    comm = commutator_subspace(ctx)
-    classes = class_data(ctx.params)
-    reduced_reps = {
-        info.label: comm.reduce(t_element(ctx, info.rep).terms)
-        for info in classes
-    }
-    ok = True
-    for w in enumerate_group(ctx.params):
-        target = comm.reduce(t_element(ctx, w).terms)
-        rows_keys = set(target)
-        for vec in reduced_reps.values():
-            rows_keys |= set(vec)
-        matrix = []
-        rhs = []
-        for idx in sorted(rows_keys):
-            matrix.append({
-                label: vec[idx] for label, vec in reduced_reps.items()
-                if idx in vec
-            })
-            rhs.append(target.get(idx, ctx.ring.zero()))
-        sol = solve(ctx.ring, matrix, rhs)
-        chars = polys.f_polys(w, check_residual=False)
-        for info in classes:
-            ok = ok and sol.get(info.label, ctx.ring.zero()) == chars[info.label]
-    checks.append(Check(
-        "(1,3) class polynomials agree with the independent "
-        "commutator-membership solver", ok))
+    for r, n, xi, qs in [(2, 2, -1, (1, -1)), (2, 2, 2, (1, 2)),
+                         (2, 3, -1, (1, -1))]:
+        ctx_sp = _spec_ctx(r, n, Fraction(xi), [Fraction(q) for q in qs])
+        checks.append(Check(
+            f"({r},{n}) symbolic f specialize to the certified direct rows at "
+            f"non-semisimple xi={xi} Q=({','.join(map(str, qs))})",
+            not check_semisimple(ctx_sp)[0] and specializes(ctx_sp, True)))
+    # class polynomials against the character-matrix solve
+    for r, n in [(1, 3), (2, 2), (2, 3)]:
+        ctx = _spec_ctx(r, n)
+        snd = SeminormalData(ctx)
+        polys = ClassPolynomials(ctx, seminormal=snd)
+        characters = Elimination(ctx.ring, polys.character_matrix())
+        ok = True
+        for w in enumerate_group(ctx.params):
+            elt = t_element(ctx, w)
+            ok = ok and polys.f_polys(w, check_residual=False) == characters.solve(
+                [snd.character(shape, elt) for shape in snd.shapes])
+        checks.append(Check(
+            f"({r},{n}) class polynomials agree with the character-matrix "
+            f"solve, all w", ok))
     return checks
 
 

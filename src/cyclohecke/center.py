@@ -11,23 +11,24 @@ Conjugacy classes of W_n are labelled by r-multipartitions; the stored
 representative of a class is the block product w_beta attached to the
 canonical colored semi-bipartition, with its fixed reduced word.  These
 representatives have minimal length in their classes, and their images
-T_{w_C} span the cocenter; the class polynomials f_{w,C} express any T_w in
-terms of them modulo [H, H].  They are computed by the character-matrix
-method: chi_lambda(T_w) = sum_C f_{w,C} chi_lambda(T_{w_C}) with the square
-character matrix factored once per context (its Gauss-Jordan row operations
-are recorded and replayed on each right-hand side), and every result is
-certified by a membership check of the residual in [H, H].  The dual class
-polynomials g need no second factorization: they expand T_{w^{-1}} over the
-representatives permuted by beta_hat, so g_{w,C} = f_{w^{-1}, beta_hat(C)}
-is read off the f row of w^{-1}, residual check included.  The class
-polynomials are coordinates in the cocenter H/[H, H], so they do not depend
-on which minimal-length representative is chosen exactly when T_w - T_{w_C}
-lies in [H, H] for every minimal-length w of every class C;
+T_{w_C} form a basis of the cocenter H/[H, H] at every parameter point; the
+class polynomials f_{w,C} are the coordinates of T_w in it.  They are
+computed by reduction modulo [H, H]: the remainders of the T_{w_C} fill the
+#classes free columns of its echelon basis, that square system is factored
+once (its row operations are recorded and replayed on each right-hand side),
+and the f row of w is the solve on the remainder of T_w, certified by a
+membership check of the residual in [H, H].  No characters and no
+semisimplicity are needed; the character matrix is the acceptance gate's
+oracle.  The duals g_{w,C} = f_{w^{-1}, beta_hat(C)} are read off the f row
+of w^{-1}.  The class polynomials do not depend on which minimal-length
+representative is chosen exactly when T_w - T_{w_C} lies in [H, H] for
+every minimal-length w of every class C;
 ``representative_dependence_report`` checks that by membership alone.
 
 The dual-basis constructions follow: T_w^vee is the tau-dual basis of
 {T_w}, y_C = sum_w f_{w,C} T_w^vee and z_C = sum_w g_{w,C} b_w with
-b_w = (T_{w^{-1}})^vee; both families are bases of the center.
+b_w = (T_{w^{-1}})^vee, which is y_{beta_hat(C)}; both families are bases
+of the center.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .hecke import (
     t_element,
 )
 from .linalg import Elimination, SubspaceBasis, invert_matrix, nullspace
-from .seminormal import SeminormalData
 from .tableaux import enumerate_multipartitions
 
 
@@ -150,59 +150,72 @@ def spans_equal(a, b):
 # -- class polynomials ----------------------------------------------------------
 
 class ClassPolynomials:
-    """Character-matrix solver for f_{w,C} and g_{w,C}."""
+    """f_{w,C} and g_{w,C} by reduction modulo [H, H], at every parameter
+    point; ``character_matrix`` is kept as the gate's oracle."""
 
     def __init__(self, ctx, seminormal=None):
         self.ctx = ctx
         self.classes = class_data(ctx.params)
-        self.snd = seminormal if seminormal is not None else SeminormalData(ctx)
-        self.shapes = self.snd.shapes
-        if len(self.shapes) != len(self.classes):
-            raise AssertionError("shape and class counts disagree")
+        self.snd = seminormal
         self._rep_elements = {
             info.label: t_element(ctx, info.rep) for info in self.classes
         }
         # beta_hat: for each class C, the canonical label whose representative
         # inverts into C, so that b_{w_C}^vee = T_{w_{beta_hat(C)}}
-        self._beta_hat = {}
-        for info in self.classes:
-            self._beta_hat[conjugacy_invariant(info.rep.inverse())] = info.label
+        self._beta_hat = {conjugacy_invariant(info.rep.inverse()): info.label
+                          for info in self.classes}
         self._matrix_rows = None
         self._elim = None
+        self._columns = None
         self._commutators = None
-
-    # -- characters ---------------------------------------------------------
 
     def character_matrix(self):
         """Rows: shapes; columns: class labels; entries chi_lambda(T_{w_C})."""
         if self._matrix_rows is None:
+            if self.snd is None:
+                from .seminormal import SeminormalData
+                self.snd = SeminormalData(self.ctx)
             self._matrix_rows = [
                 {
                     info.label: self.snd.character(
                         shape, self._rep_elements[info.label])
                     for info in self.classes
                 }
-                for shape in self.shapes
+                for shape in self.snd.shapes
             ]
         return self._matrix_rows
-
-    def _elimination(self):
-        """The character matrix, factored once; a singular matrix would
-        contradict the cocenter basis theorem and raises ArithmeticError."""
-        if self._elim is None:
-            self._elim = Elimination(self.ctx.ring, self.character_matrix())
-        return self._elim
 
     def commutator_basis(self):
         if self._commutators is None:
             self._commutators = commutator_subspace(self.ctx)
         return self._commutators
 
+    def _elimination(self):
+        """The remainders of the T_{w_C} modulo [H, H], factored once; a
+        singular system contradicts the cocenter theorem: ArithmeticError."""
+        if self._elim is None:
+            comm = self.commutator_basis()
+            zero = self.ctx.ring.zero()
+            reps = {label: comm.reduce(elt.terms)
+                    for label, elt in self._rep_elements.items()}
+            self._columns = list(dict.fromkeys(
+                c for vec in reps.values() for c in vec))
+            self._elim = Elimination(self.ctx.ring, [
+                {label: vec.get(col, zero) for label, vec in reps.items()}
+                for col in self._columns])
+        return self._elim
+
     # -- f and g -------------------------------------------------------------
 
     def _coefficients(self, elt, check_residual):
-        rhs = [self.snd.character(shape, elt) for shape in self.shapes]
-        sol = self._elimination().solve(rhs)
+        elim = self._elimination()
+        rem = self.commutator_basis().reduce(elt.terms)
+        zero = self.ctx.ring.zero()
+        rhs = [rem.pop(col, zero) for col in self._columns]
+        if rem:
+            raise ArithmeticError(
+                "remainder modulo [H, H] outside the representatives' columns")
+        sol = elim.solve(rhs)
         coeffs = {info.label: sol[info.label] for info in self.classes}
         if check_residual and not self.residual_in_commutators(elt, coeffs):
             raise AssertionError("class-polynomial residual escaped [H, H]")
@@ -249,11 +262,8 @@ class DualBasis:
         self.order = sorted(enumerate_group(ctx.params, budget),
                             key=lambda w: (length(w), w.colors, w.perm))
         self.t_elts = [t_element(ctx, w) for w in self.order]
-        gram = [
-            [(a * b).tau() for b in self.t_elts]
-            for a in self.t_elts
-        ]
-        inv = invert_matrix(ctx.ring, gram)   # raises when tau degenerates
+        # invert_matrix raises when tau degenerates
+        inv = invert_matrix(ctx.ring, tau_gram(self.t_elts))
         self.duals = [_combination(ctx, zip(self.t_elts, col))
                       for col in zip(*inv)]
         self._pos = {w: i for i, w in enumerate(self.order)}
@@ -265,16 +275,23 @@ class DualBasis:
         return self.t_elts[self._pos[w]]
 
 
-def center_bases_yz(ctx, polys, dual):
-    """(y_C, z_C) families indexed by class labels."""
-    ys, zs = {}, {}
-    fs = {w: polys.f_polys(w, check_residual=False) for w in dual.order}
-    gs = {w: polys.g_from_f(fs[w.inverse()]) for w in dual.order}
-    for info in polys.classes:
-        ys[info.label] = _combination(
-            ctx, ((dual.dual(w), fs[w][info.label]) for w in dual.order))
-        zs[info.label] = _combination(
-            ctx, ((dual.dual(w.inverse()), gs[w][info.label]) for w in dual.order))
+def tau_gram(elts):
+    """tau(a b) over pairs of elts, from the upper triangle: tau is a trace."""
+    gram = [[None] * len(elts) for _ in elts]
+    for i, a in enumerate(elts):
+        for j in range(i, len(elts)):
+            gram[i][j] = gram[j][i] = (a * elts[j]).tau()
+    return gram
+
+
+def center_bases_yz(ctx, polys, dual, fs):
+    """(y_C, z_C) families indexed by class labels, from the f rows ``fs`` of
+    every w in ``dual.order``.  Substituting u = w^{-1} in the sum of z_C
+    turns it into y_{beta_hat(C)}."""
+    ys = {info.label: _combination(
+              ctx, ((dual.dual(w), fs[w][info.label]) for w in dual.order))
+          for info in polys.classes}
+    zs = {label: ys[polys._beta_hat[label]] for label in ys}
     return ys, zs
 
 

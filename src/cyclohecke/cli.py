@@ -218,9 +218,8 @@ def _class_poly_table(ctx, polys, words):
 def cmd_hecke_class_polys(args):
     from .center import ClassPolynomials, representative_dependence_report
     from .group import enumerate_group
-    from .seminormal import SeminormalData
     ctx = build_context(args, need_field=True)
-    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
+    polys = ClassPolynomials(ctx)
     if args.word:
         words = [eval_word(ctx.params, parse_word(ctx.params, args.word))]
     else:
@@ -243,24 +242,21 @@ def cmd_hecke_class_polys(args):
 
 def cmd_hecke_dual_class_polys(args):
     from .center import ClassPolynomials, DualBasis, center_bases_yz, is_central
-    from .group import bm_word, enumerate_group
-    from .seminormal import SeminormalData
+    from .group import bm_word
     ctx = build_context(args, need_field=True)
-    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
-    words = sorted(enumerate_group(ctx.params, args.budget),
-                   key=lambda w: (length(w), w.colors, w.perm))
+    polys = ClassPolynomials(ctx)
+    dual = DualBasis(ctx, args.budget)
+    fs = {w: polys.f_polys(w, check_residual=False) for w in dual.order}
     table = {}
-    for w in words:
-        coeffs = polys.g_polys(w, check_residual=False)
+    for w in dual.order:
+        coeffs = polys.g_from_f(fs[w.inverse()])
         table[format_word(bm_word(w))] = {
             "|".join(",".join(map(str, c)) for c in label):
                 ctx.ring.format(val)
             for label, val in coeffs.items()
         }
-    dual = DualBasis(ctx, args.budget)
-    ys, zs = center_bases_yz(ctx, polys, dual)
-    ok = all(is_central(ctx, y) for y in ys.values()) and \
-        all(is_central(ctx, z) for z in zs.values())
+    ys, _ = center_bases_yz(ctx, polys, dual, fs)   # z_C is y_{beta_hat(C)}
+    ok = all(is_central(ctx, y) for y in ys.values())
     result = {"context": _context_json(ctx), "g": table}
     return result, [("y_C and z_C are central", ok, "")]
 
@@ -520,14 +516,10 @@ def make_parser():
 
 
 def main(argv=None):
-    from .seminormal import NotSemisimpleError
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
         result, checks = args.fn(args)
-    except NotSemisimpleError as exc:
-        parser.error(f"parameters are outside the semisimple regime: {exc}")
-        return 2
     except (UsageError, ValueError) as exc:
         parser.error(str(exc))       # exits 2
         return 2

@@ -19,6 +19,7 @@ from cyclohecke.center import (
     representative_dependence_report,
     spans_equal,
     symmetric_jm_subalgebra,
+    tau_gram,
 )
 from cyclohecke.group import (
     GroupElement,
@@ -157,7 +158,7 @@ def test_center_conjecture_rejects_xi_one():
 @pytest.fixture(scope="module", params=[(2, 2), (3, 2)], ids=["2-2", "3-2"])
 def spec_polys(request):
     ctx = spec_context(*request.param)
-    return ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
+    return ClassPolynomials(ctx)
 
 
 def test_f_delta_on_representatives(spec_polys):
@@ -193,24 +194,61 @@ def test_residual_membership_all_elements(spec_polys):
     (lambda: fraction_context(3, 1), 2),
 ], ids=["3-2-spec", "3-1-fraction"])
 def test_g_polys_solve_the_permuted_character_matrix(make, moved):
-    # reference: g_{w,C} from its own system, the character matrix with
-    # column C replaced by chi(T_{w_{beta_hat(C)}}), right-hand side
-    # chi(T_{w^{-1}})
+    # reference, independent of the production route: g_{w,C} from its own
+    # system, the character matrix with column C replaced by
+    # chi(T_{w_{beta_hat(C)}}), right-hand side chi(T_{w^{-1}})
     ctx = make()
-    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
+    snd = SeminormalData(ctx)
+    polys = ClassPolynomials(ctx)
     beta_hat = {conjugacy_invariant(info.rep.inverse()): info.label
                 for info in polys.classes}
     assert sum(c != beta_hat[c] for c in beta_hat) == moved
-    hat = [{c: row[beta_hat[c]] for c in row} for row in polys.character_matrix()]
+    reps = {info.label: t_element(ctx, info.rep) for info in polys.classes}
+    hat = [{c: snd.character(shape, reps[beta_hat[c]]) for c in reps}
+           for shape in snd.shapes]
     for w in enumerate_group(ctx.params):
         target = t_element(ctx, w.inverse())
-        rhs = [polys.snd.character(shape, target) for shape in polys.shapes]
+        rhs = [snd.character(shape, target) for shape in snd.shapes]
         want = solve(ctx.ring, hat, rhs)
         got = polys.g_polys(w)
         assert list(got) == [info.label for info in polys.classes]
         assert got == want
         assert [ctx.ring.format(got[c]) for c in got] == \
             [ctx.ring.format(want[c]) for c in got]
+
+
+def test_class_polynomials_refuse_a_remainder_outside_the_representatives():
+    # against the zero subspace T_w is its own remainder, so a
+    # non-representative w has a column the system does not have
+    ctx = spec_context(2, 2)
+    polys = ClassPolynomials(ctx)
+    polys._commutators = SubspaceBasis(ctx.ring)
+    reps = {info.rep for info in polys.classes}
+    for info in polys.classes:
+        assert polys.f_polys(info.rep, check_residual=False)[info.label] == 1
+    others = [w for w in enumerate_group(ctx.params) if w not in reps]
+    assert others
+    for w in others:
+        with pytest.raises(ArithmeticError):
+            polys.f_polys(w, check_residual=False)
+
+
+@pytest.mark.parametrize("r,n,xi,qs", [
+    (2, 2, 1, (1, 1)),
+    (1, 3, -1, (1,)),
+    (3, 2, -1, (1, -1, 1)),
+], ids=["2-2-xi1", "1-3-xi-1", "3-2-xi-1"])
+def test_non_semisimple_rows_specialize_the_symbolic_rows(r, n, xi, qs):
+    values = (Fraction(xi),) + tuple(Fraction(q) for q in qs)
+    ctx = spec_context(r, n, values[0], list(values[1:]))
+    with pytest.raises(ArithmeticError):
+        SeminormalData(ctx)
+    polys = ClassPolynomials(ctx)
+    polys_sym = ClassPolynomials(fraction_context(r, n))
+    for w in enumerate_group(ctx.params):
+        direct = polys.f_polys(w)
+        for label, val in polys_sym.f_polys(w, check_residual=False).items():
+            assert val.as_laurent().specialize(values, Fraction(1)) == direct[label]
 
 
 @pytest.mark.parametrize("make", [
@@ -241,7 +279,7 @@ def test_is_central_agrees_with_products(make):
 def test_geck_pfeiffer_zero_one_on_minimal_coxeter():
     # r=1: on minimal (Coxeter-parabolic) elements f is a 0/1 indicator
     ctx = spec_context(1, 3)
-    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
+    polys = ClassPolynomials(ctx)
     for info in polys.classes:
         coeffs = polys.f_polys(info.rep)
         values = sorted(str(v) for v in coeffs.values())
@@ -250,7 +288,7 @@ def test_geck_pfeiffer_zero_one_on_minimal_coxeter():
 
 def test_symbolic_class_polynomials_integral():
     ctx = fraction_context(2, 2)
-    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
+    polys = ClassPolynomials(ctx)
     for w in enumerate_group(ctx.params):
         for val in polys.f_polys(w, check_residual=False).values():
             val.as_laurent()
@@ -260,7 +298,7 @@ def test_symbolic_class_polynomials_integral():
 
 def test_dual_basis_and_yz():
     ctx = spec_context(2, 2)
-    polys = ClassPolynomials(ctx, seminormal=SeminormalData(ctx))
+    polys = ClassPolynomials(ctx)
     dual = DualBasis(ctx)
     D = ctx.dimension
     # duality and the trace identity sum_w tau(T_w T_w^vee) = |W|
@@ -269,13 +307,48 @@ def test_dual_basis_and_yz():
         assert (dual.t(w) * dual.duals[i]).tau() == ctx.ring.one()
         total = total + (dual.t(w) * dual.duals[i]).tau()
     assert total == ctx.ring.from_int(D)
-    ys, zs = center_bases_yz(ctx, polys, dual)
+    fs = {w: polys.f_polys(w) for w in dual.order}
+    ys, zs = center_bases_yz(ctx, polys, dual, fs)
     for fam in (ys, zs):
         basis = SubspaceBasis(ctx.ring)
         for elt in fam.values():
             assert is_central(ctx, elt)
             basis.add(elt.terms)
         assert basis.rank == len(polys.classes)
+
+
+@pytest.mark.parametrize("make,moved", [
+    (lambda: spec_context(3, 2), 6),
+    (lambda: spec_context(2, 2, Fraction(-1), [Fraction(1), Fraction(-1)]), 0),
+    (lambda: fraction_context(2, 2), 0),
+], ids=["3-2", "2-2-xi-1", "2-2-fraction"])
+def test_z_is_the_relabelled_y(make, moved):
+    # reference: z_C = sum_w g_{w,C} b_w with b_w = (T_{w^{-1}})^vee, as a
+    # sum of its own over the group
+    ctx = make()
+    polys = ClassPolynomials(ctx)
+    dual = DualBasis(ctx)
+    fs = {w: polys.f_polys(w, check_residual=False) for w in dual.order}
+    ys, zs = center_bases_yz(ctx, polys, dual, fs)
+    assert sum(zs[c] is not ys[c] for c in ys) == moved
+    for info in polys.classes:
+        want = ctx.zero()
+        for w in dual.order:
+            g = polys.g_polys(w, check_residual=False)[info.label]
+            want = want + dual.dual(w.inverse()).scale(g)
+        assert zs[info.label] == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fraction_context(2, 2),
+    lambda: spec_context(3, 2),
+    lambda: spec_context(2, 3),
+    lambda: spec_context(2, 3, Fraction(-1), [Fraction(1), Fraction(-1)]),
+], ids=["2-2-fraction", "3-2", "2-3-xi2", "2-3-xi-1"])
+def test_tau_gram_matches_the_full_product_matrix(make):
+    ctx = make()
+    elts = [t_element(ctx, w) for w in enumerate_group(ctx.params)]
+    assert tau_gram(elts) == [[(a * b).tau() for b in elts] for a in elts]
 
 
 @pytest.mark.parametrize("make,classes", [
@@ -324,12 +397,12 @@ def test_equal_length_moves_need_not_be_congruences():
 
 def test_symbolic_specialization_consistency():
     ctx_sym = fraction_context(2, 2)
-    polys_sym = ClassPolynomials(ctx_sym, seminormal=SeminormalData(ctx_sym))
+    polys_sym = ClassPolynomials(ctx_sym)
     words = list(enumerate_group(GroupParams(2, 2)))
     sym_vals = {w: polys_sym.f_polys(w, check_residual=False) for w in words}
     xi, qs = Fraction(3), [Fraction(2), Fraction(49)]
     ctx_sp = spec_context(2, 2, xi, qs)
-    polys_sp = ClassPolynomials(ctx_sp, seminormal=SeminormalData(ctx_sp))
+    polys_sp = ClassPolynomials(ctx_sp)
     values = (xi,) + tuple(qs)
     for w in words:
         direct = polys_sp.f_polys(w, check_residual=False)

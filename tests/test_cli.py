@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 from cyclohecke.cli import main
+from cyclohecke.rings import RingSpec
 
 
 def run_cli(argv):
@@ -124,6 +126,30 @@ def test_dual_class_polys():
     # and beta_hat sends 1|1|, the class of t, to 1||1
     assert nonzero(table["t t"]) == {"1||1": "1"}
     assert nonzero(table["t"]) == {"1|1|": "1"}
+
+
+def test_class_polys_at_a_non_semisimple_point():
+    point = ["--r", "2", "--n", "2", "--spec", "xi=-1,Q=1,-1"]
+    code, rep = run_json(["hecke", "class-polys"] + point)
+    assert code == 0
+    assert rep["checks"] == [
+        {"name": "residuals lie in [H,H]", "passed": True, "detail": ""}]
+    code, sym = run_json(["hecke", "class-polys", "--r", "2", "--n", "2",
+                          "--ring", "fraction"])
+    assert code == 0
+    ring = RingSpec.fraction(2)
+    values = (Fraction(-1), Fraction(1), Fraction(-1))
+    table = rep["result"]["f"]
+    assert table.keys() == sym["result"]["f"].keys() and len(table) == 8
+    for w, row in sym["result"]["f"].items():
+        assert {c: ring.parse(v).as_laurent().specialize(values, Fraction(1))
+                for c, v in row.items()} == \
+            {c: Fraction(v) for c, v in table[w].items()}
+    code, rep = run_json(["hecke", "dual-class-polys"] + point)
+    assert code == 0
+    assert rep["checks"] == [
+        {"name": "y_C and z_C are central", "passed": True, "detail": ""}]
+    assert len(rep["result"]["g"]) == 8
 
 
 def test_cocenter_rank():
