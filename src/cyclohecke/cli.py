@@ -66,12 +66,20 @@ def build_ring(args, r):
     )
     if "xi" not in fields or "Q" not in fields:
         raise UsageError("--spec must look like \"xi=V,Q=V1,..,Vr\"")
-    xi = ring.parse(fields["xi"])
+    xi = _parse_spec_value(ring, fields["xi"])
     q_texts = fields["Q"].split(",")
     if len(q_texts) != r:
         raise UsageError(f"need exactly r={r} cyclotomic parameters")
-    qs = [ring.parse(t) for t in q_texts]
+    qs = [_parse_spec_value(ring, t) for t in q_texts]
     return ring, xi, qs
+
+
+def _parse_spec_value(ring, text):
+    """One --spec value; a zero denominator is the user's, not ours."""
+    try:
+        return ring.parse(text)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in --spec value {text!r}") from None
 
 
 def build_context(args, need_field=False):

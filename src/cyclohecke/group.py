@@ -19,7 +19,11 @@ the column sent to row 1 and ``s_i`` exchanges the values i and i+1 of the
 permutation.  The results, like products, inverses and the constants
 ``identity``, ``gen_t`` and ``gen_s``, hold the element's invariants by
 construction, so they are built unchecked; ``GroupElement(...)`` validates
-outside input.  ``eval_word`` applies the right actions to one pair of lists.
+outside input.  ``eval_word`` checks a word's tokens, then applies their right
+actions to one pair of lists.  The product law itself is ``_product``, on
+(colors, perm) tuple pairs; ``GroupElement.__mul__`` wraps it, and the
+certificate replay in ``reduction`` calls it directly, as it calls ``_length``,
+the tuple-level form of ``length``.
 
 Normal forms.  Every element has a unique Bremke-Malle (BM) normal form
 $t_{0,a_0} t_{1,a_1} \cdots t_{n-1,a_{n-1}} v$ with $0 \le a_i < r$ and
@@ -90,7 +94,7 @@ def perm_identity(n):
 
 def perm_compose(p, q):
     """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    return tuple([p[j - 1] for j in q])
 
 
 def perm_inverse(p):
@@ -167,21 +171,21 @@ class GroupElement:
         return GroupElement._trusted(params, (0,) * params.n, perm_transposition(params.n, i))
 
     def _check(self, other):
-        if not isinstance(other, GroupElement) or other.params != self.params:
+        if not isinstance(other, GroupElement) or (
+                other.params is not self.params and other.params != self.params):
             raise GroupError("mismatched group parameters")
         return other
 
     def __mul__(self, other):
         o = self._check(other)
-        r = self.params.r
-        colors = tuple((o.colors[i] + self.colors[o.perm[i] - 1]) % r
-                       for i in range(self.params.n))
-        return GroupElement._trusted(self.params, colors, perm_compose(self.perm, o.perm))
+        colors, perm = _product(self.params.r, (self.colors, self.perm),
+                                (o.colors, o.perm))
+        return GroupElement._trusted(self.params, colors, perm)
 
     def inverse(self):
         inv = perm_inverse(self.perm)
         r = self.params.r
-        colors = tuple(-self.colors[inv[i] - 1] % r for i in range(self.params.n))
+        colors = tuple([-self.colors[j - 1] % r for j in inv])
         return GroupElement._trusted(self.params, colors, inv)
 
     def rmul_gen(self, token, power=1):
@@ -223,14 +227,14 @@ class GroupElement:
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)
-            and other.params == self.params
-            and other.colors == self.colors
             and other.perm == self.perm
+            and other.colors == self.colors
+            and (other.params is self.params or other.params == self.params)
         )
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.colors, self.perm)))
+            _set_hash(self, hash((self.colors, self.perm)))
         return self._hash
 
     def __repr__(self):
@@ -244,11 +248,27 @@ class GroupElement:
         return GroupElement(params, payload["colors"], payload["perm"])
 
 
+_set_params = GroupElement.params.__set__
+_set_colors = GroupElement.colors.__set__
+_set_perm = GroupElement.perm.__set__
+_set_hash = GroupElement._hash.__set__
+
+
 def _fill(elt, params, colors, perm):
-    object.__setattr__(elt, "params", params)
-    object.__setattr__(elt, "colors", colors)
-    object.__setattr__(elt, "perm", perm)
-    object.__setattr__(elt, "_hash", None)
+    """Store the fields through the slot descriptors, which bypass the
+    refusing ``__setattr__``."""
+    _set_params(elt, params)
+    _set_colors(elt, colors)
+    _set_perm(elt, perm)
+    _set_hash(elt, None)
+
+
+def _product(r, a, b):
+    """The product law on (colors, perm) tuple pairs: a * b, as a pair."""
+    ac, ap = a
+    bc, bp = b
+    return (tuple([(c + ac[j - 1]) % r for c, j in zip(bc, bp)]),
+            tuple([ap[j - 1] for j in bp]))
 
 
 def _check_token(params, token):
@@ -300,9 +320,18 @@ def gen_element(params, token):
 
 
 def eval_word(params, word):
-    colors, perm = [0] * params.n, list(perm_identity(params.n))
+    """The element of a word: every token is checked first, then the right
+    actions of the letters are applied to one pair of lists."""
     for token in word:
-        _act_right(params, colors, perm, token, 1)
+        _check_token(params, token)
+    r = params.r
+    colors, perm = [0] * params.n, list(perm_identity(params.n))
+    for i in word:
+        if i == 0:
+            colors[0] = (colors[0] + 1) % r
+        else:
+            colors[i - 1], colors[i] = colors[i], colors[i - 1]
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
     return GroupElement._trusted(params, tuple(colors), tuple(perm))
 
 
@@ -457,7 +486,12 @@ def bm_normal_form(w):
 
 
 def length(w):
-    """Distance from the identity in the Cayley graph on {t, s_1, .., s_{n-1}}.
+    """Distance from the identity in the Cayley graph on {t, s_1, .., s_{n-1}}."""
+    return _length(w.colors, w.perm)
+
+
+def _length(colors, perm):
+    """The length of the element with these tuples.
 
     The BM length sum_{a_i > 0} (i + a_i) + inv(v) in closed form on the
     tuples (see the module docstring), in one pass over the positions: a
@@ -466,7 +500,7 @@ def length(w):
     one adds the uncolored positions before it sent to higher rows.  The rows
     reached so far are kept as two bit masks, one per kind of position."""
     total = colored = plain = n_plain = 0
-    for c, row in zip(w.colors, w.perm):
+    for c, row in zip(colors, perm):
         bit = 1 << row
         if c:
             total += row - 1 + c + (colored & (bit - 1)).bit_count() + n_plain

@@ -47,9 +47,10 @@ are recorded separately as ``TailStep`` witnesses.
 
 Every certificate can be replayed independently via ``verify_certificate``.
 The engine produces its moves with the generator actions ``lmul_gen`` and
-``rmul_gen`` on the tuples; the replay recomputes each move with the general
-product law ``g * w * g^{-1}``, so every certificate checks the producer
-through a second code path.
+``rmul_gen`` on the tuples; the replay recomputes each move as
+$g\,w\,g^{-1}$ by the general product law (``group._product``) on the
+``(colors, perm)`` tuples, and its lengths with ``group._length``, so every
+certificate checks the producer through a second code path.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ from dataclasses import dataclass, field
 from .group import (
     ColoredSemiBicomposition,
     GroupElement,
+    _length,
+    _product,
     chain_blocks,
     eval_word,
     gen_element,
@@ -372,13 +375,16 @@ def reduce_to_minimal(w, canonical=False):
 def verify_certificate(cert):
     """Independent replay of a certificate. Returns (ok, detail).
 
-    Each move is replayed with the general product law ``g * cur * g^-1``,
-    not with the generator actions that produced it, so that the replay
-    checks the producer through a second code path."""
+    Each move is replayed with the general product law ``g * cur * g^-1``
+    on the (colors, perm) tuples, not with the generator actions that
+    produced it, so that the replay checks the producer through a second
+    code path."""
     params = cert.start.params
+    r = params.r
     cur = cert.start
-    cur_len = length(cur)
-    gens = {}                 # token -> (g, g^-1)
+    cur_t = (cur.colors, cur.perm)
+    cur_len = _length(*cur_t)
+    gens = {}                 # token -> (g, g^-1), as tuple pairs
     for idx, step in enumerate(cert.steps):
         if step.before != cur:
             return False, f"step {idx}: chain broken"
@@ -386,22 +392,25 @@ def verify_certificate(cert):
             return False, f"step {idx}: conjugator out of range"
         if step.conjugator not in gens:
             g = gen_element(params, step.conjugator)
-            gens[step.conjugator] = g, g.inverse()
+            g_inv = g.inverse()
+            gens[step.conjugator] = (g.colors, g.perm), (g_inv.colors, g_inv.perm)
         g, g_inv = gens[step.conjugator]
-        g_cur = g * cur
-        if g_cur * g_inv != step.after:
+        g_cur = _product(r, g, cur_t)
+        after = step.after
+        after_t = (after.colors, after.perm)
+        if _product(r, g_cur, g_inv) != after_t or after.params != params:
             return False, f"step {idx}: not a conjugation by the stated generator"
-        lb, la = cur_len, length(step.after)
+        lb, la = cur_len, _length(*after_t)
         if (lb, la) != (step.len_before, step.len_after):
             return False, f"step {idx}: recorded lengths are wrong"
         if la > lb:
             return False, f"step {idx}: length increased"
-        left = length(g_cur) < lb
-        right = length(cur * g_inv) < lb
+        left = _length(*g_cur) < lb
+        right = _length(*_product(r, cur_t, g_inv)) < lb
         want = {"left": left, "right": right, "both": left and right}.get(step.side)
         if not want:
             return False, f"step {idx}: recorded descent condition does not hold"
-        cur, cur_len = step.after, la
+        cur, cur_t, cur_len = after, after_t, la
     expect, _ = w_alpha(params, cert.terminal)
     if cur != expect or cur != cert.terminal_element:
         return False, "terminal element mismatch"

@@ -189,6 +189,11 @@ def test_usage_errors_exit_2():
     code, _, _ = run_cli(["group", "length", "--r", "2", "--n", "2",
                           "--word", "s9"])
     assert code == 2
+    for spec in ("xi=1/0,Q=1,2", "xi=2,Q=1,1/0"):
+        code, out, err = run_cli(["hecke", "center", "--r", "2", "--n", "2",
+                                  "--spec", spec])
+        assert code == 2 and not out
+        assert "zero denominator" in err and "internal inconsistency" not in err
 
 
 def test_klr_weight_errors_exit_2():

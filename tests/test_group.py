@@ -31,6 +31,8 @@ from cyclohecke.group import (
     w_lambda_eps,
     _bm_length,
     _bm_parts,
+    _length,
+    _product,
 )
 from cyclohecke.tableaux import compositions, enumerate_multipartitions
 
@@ -167,6 +169,22 @@ def test_products_and_inverses_match_validated_elements(r, n, data):
         assert type(built.colors) is tuple and type(built.perm) is tuple
     assert (a * a.inverse()).is_identity()
     assert (a.inverse() * a).is_identity()
+
+
+@pytest.mark.parametrize("r,n", [(3, 3), (2, 4), (4, 3), (2, 5)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tuple_product_and_length_match_validated_elements(r, n, data):
+    """The replay's tuple-level product law and length, against validated
+    elements and the BM parts."""
+    P = GroupParams(r, n)
+    a, b = _draw_element(data, P), _draw_element(data, P)
+    product = _validated_product(a, b)
+    built = _product(r, (a.colors, a.perm), (b.colors, b.perm))
+    assert built == (product.colors, product.perm)
+    assert type(built[0]) is tuple and type(built[1]) is tuple
+    for w in (a, b, product):
+        assert _length(w.colors, w.perm) == _bm_length(*_bm_parts(w))
 
 
 def _validated_generator(params, token):

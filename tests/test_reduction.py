@@ -177,6 +177,32 @@ def test_forged_certificates_are_rejected():
         assert verify_certificate(cert) == (False, detail)
 
 
+def test_replay_does_not_use_the_generator_actions(monkeypatch):
+    """The producer moves by lmul_gen/rmul_gen; the replay must accept every
+    certificate with both of them gone."""
+    certs = [reduce_to_minimal(w, canonical=True)
+             for r, n in ((3, 3), (2, 4)) for w in enumerate_group(GroupParams(r, n))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replay used a generator action")
+
+    monkeypatch.setattr(GroupElement, "lmul_gen", refuse)
+    monkeypatch.setattr(GroupElement, "rmul_gen", refuse)
+    for cert in certs:
+        assert verify_certificate(cert) == (True, "ok")
+
+
+def test_replay_checks_the_group_parameters_of_each_step():
+    P = GroupParams(2, 3)
+    cert = reduce_to_minimal(eval_word(P, (0, 1, 2, 1, 0, 1)), canonical=True)
+    for k, step in enumerate(cert.steps):
+        alien = GroupElement(GroupParams(P.r + 1, P.n), step.after.colors, step.after.perm)
+        forged = list(cert.steps)
+        forged[k] = replace(step, after=alien)
+        assert verify_certificate(replace(cert, steps=forged)) == (
+            False, f"step {k}: not a conjugation by the stated generator")
+
+
 def _reference_peel(w):
     """Stage 1 through the double-coset normal form and the product law:
     form core = cur * suffix^-1, take dc_normal_form(core, m), conjugate by
