@@ -424,10 +424,6 @@ class ColoredSemiBicomposition:
 def w_alpha(params, alpha):
     """The minimal-length representative attached to a colored
     semi-bicomposition: colored blocks first, then the uncolored ones."""
-    if alpha.size != params.n:
-        raise GroupError("colored semi-bicomposition has the wrong size")
-    if any(c > params.r - 1 for c in alpha.colors):
-        raise GroupError("color exceeds r-1")
     lam = alpha.lam + alpha.mu
     eps = alpha.colors + (0,) * len(alpha.mu)
     return w_lambda_eps(params, lam, eps)

@@ -21,10 +21,17 @@ The straightening rules, writing $L = \mathcal{L}_i$, $M = \mathcal{L}_{i+1}$:
 which keeps every exponent below max(a, b); together with the cyclotomic
 reduction of $\mathcal{L}_1^r = e_1(Q)\mathcal{L}_1^{r-1} - e_2(Q)
 \mathcal{L}_1^{r-2} + \cdots$ this makes multiplication by a generator on
-the left overflow-free.  Right multiplication by $T_0$ commutes
-$\mathcal{L}_1$ leftwards through $T_w$; when the travelling element lands
-on a coordinate already at exponent $r-1$, the offending factor is peeled
-off and re-applied through its generator word on the left.
+the left overflow-free.  Right multiplication by $T_i$, $i \ge 1$, acts on
+$T_w$ alone.  Right multiplication by $T_0$ goes through the
+anti-involution $*$ that fixes every generator and reverses products (it is
+well defined because each defining relation reads the same reversed):
+
+    x T_0 = (T_0 x^*)^*,        (L^c T_w)^* = T_{w^{-1}} L^c,
+
+using $\mathcal{L}_m^* = \mathcal{L}_m$ (its word is a palindrome) and
+that the $\mathcal{L}_m$ commute.  $T_{w^{-1}} L^c$ is built by left
+generator actions along the reduced word of $w$, so the right action of
+$T_0$ is a sequence of left actions and stays division-free.
 
 A second basis $\{T_w : w \in W_n\}$, one fixed reduced word per group
 element, is available through :func:`t_element`; two reduced words of the
@@ -78,10 +85,10 @@ class AlgebraContext:
         ]
         self._rmul = {}
         self._lmul = {}
-        self._commute = {}
         # terms dicts, not HeckeElements: an element refers back to its
         # context, and that cycle would keep a dropped context alive until
         # the next full garbage collection
+        self._star = {}
         self._t_cache = {}
         self._jm_cache = {}
 
@@ -198,43 +205,6 @@ def _rmul_ti_index(ctx, idx, i):
     return ((ctx.xi_m1, (c, w)), (ctx.xi, (c, ws)))
 
 
-def _terms_rmul_ti(ctx, terms, i):
-    out = {}
-    for idx, coeff in terms.items():
-        for c2, idx2 in _rmul_ti_index(ctx, idx, i):
-            _bump(ctx, out, idx2, coeff * c2)
-    return out
-
-
-def _commute_l_through(ctx, word, m):
-    """T_word * L_m as a terms dict; every index has a unit exponent vector."""
-    key = (word, m)
-    cached = ctx._commute.get(key)
-    if cached is not None:
-        return cached
-    n = ctx.params.n
-    if not word:
-        c = tuple(1 if k == m - 1 else 0 for k in range(n))
-        result = {(c, perm_identity(n)): ctx.ring.one()}
-    else:
-        pre, i = word[:-1], word[-1]
-        if m not in (i, i + 1):
-            result = _terms_rmul_ti(ctx, _commute_l_through(ctx, pre, m), i)
-        elif m == i:
-            x = _commute_l_through(ctx, pre, i + 1)
-            result = _terms_rmul_ti(ctx, x, i)
-            for idx, coeff in x.items():
-                _bump(ctx, result, idx, -(ctx.xi_m1) * coeff)
-        else:
-            x1 = _commute_l_through(ctx, pre, i)
-            x2 = _commute_l_through(ctx, pre, i + 1)
-            result = _terms_rmul_ti(ctx, x1, i)
-            for idx, coeff in x2.items():
-                _bump(ctx, result, idx, ctx.xi_m1 * coeff)
-    ctx._commute[key] = result
-    return result
-
-
 def _bump(ctx, terms, idx, coeff):
     if idx in terms:
         s = terms[idx] + coeff
@@ -258,25 +228,29 @@ def _lmul_jm(ctx, m, elt):
     return out.scale(scale)
 
 
-def _rmul_t0_index(ctx, idx):
-    """(L^c T_w) * T_0 as a terms dict."""
-    c, w = idx
-    r = ctx.params.r
-    passed = _commute_l_through(ctx, coxeter_word(w), 1)
+def _star_index(ctx, idx):
+    """(L^c T_w)^* = T_{w^-1} L^c as a terms dict."""
+    cached = ctx._star.get(idx)
+    if cached is None:
+        c, w = idx
+        cached = {(c, perm_identity(ctx.params.n)): ctx.ring.one()}
+        for tok in coxeter_word(w):
+            cached = _terms_lmul(ctx, tok, cached)
+        ctx._star[idx] = cached
+    return cached
+
+
+def _terms_star(ctx, terms):
     out = {}
-    overflow = {}
-    for (cu, u), coeff in passed.items():
-        m = cu.index(1) + 1
-        if c[m - 1] + 1 < r:
-            merged = tuple(ci + 1 if k == m - 1 else ci for k, ci in enumerate(c))
-            _bump(ctx, out, (merged, u), coeff)
-        else:
-            overflow.setdefault(m, {})[(c, u)] = coeff
-    for m, terms in overflow.items():
-        resolved = _lmul_jm(ctx, m, HeckeElement(ctx, terms))
-        for idx2, coeff in resolved.terms.items():
-            _bump(ctx, out, idx2, coeff)
+    for idx, coeff in terms.items():
+        for idx2, c2 in _star_index(ctx, idx).items():
+            _bump(ctx, out, idx2, coeff * c2)
     return out
+
+
+def _rmul_t0_index(ctx, idx):
+    """(L^c T_w) * T_0 = (T_0 (L^c T_w)^*)^* as a terms dict."""
+    return _terms_star(ctx, _terms_lmul(ctx, 0, _star_index(ctx, idx)))
 
 
 def _rmul_gen_index(ctx, idx, token):
@@ -311,12 +285,16 @@ def _rmul_gen(ctx, elt, token):
     return HeckeElement(ctx, out)
 
 
-def _lmul_gen(ctx, token, elt):
+def _terms_lmul(ctx, token, terms):
     out = {}
-    for idx, coeff in elt.terms.items():
+    for idx, coeff in terms.items():
         for idx2, c2 in _lmul_gen_index(ctx, token, idx):
             _bump(ctx, out, idx2, coeff * c2)
-    return HeckeElement(ctx, out)
+    return out
+
+
+def _lmul_gen(ctx, token, elt):
+    return HeckeElement(ctx, _terms_lmul(ctx, token, elt.terms))
 
 
 def _index_word_and_scale(ctx, idx):
@@ -392,14 +370,7 @@ class HeckeElement:
 
     def star(self):
         """The anti-involution fixing all generators."""
-        ctx = self.ctx
-        out = ctx.zero()
-        for (c, w), coeff in self.terms.items():
-            part = ctx.from_index((c, perm_identity(ctx.params.n)))
-            for tok in coxeter_word(w):
-                part = _lmul_gen(ctx, tok, part)
-            out = out + part.scale(coeff)
-        return out
+        return HeckeElement(self.ctx, _terms_star(self.ctx, self.terms))
 
     def tau(self):
         """Identity-basis coefficient: the standard symmetrizing form."""

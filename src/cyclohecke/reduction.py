@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from .group import (
     ColoredSemiBicomposition,
     GroupElement,
+    GroupError,
     _length,
     _product,
     chain_blocks,
@@ -411,7 +412,10 @@ def verify_certificate(cert):
         if not want:
             return False, f"step {idx}: recorded descent condition does not hold"
         cur, cur_t, cur_len = after, after_t, la
-    expect, _ = w_alpha(params, cert.terminal)
+    try:
+        expect, _ = w_alpha(params, cert.terminal)
+    except GroupError:
+        return False, "terminal element mismatch"
     if cur != expect or cur != cert.terminal_element:
         return False, "terminal element mismatch"
     want_beta = ColoredSemiBicomposition(

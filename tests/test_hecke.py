@@ -10,6 +10,7 @@ from conftest import fraction_context, laurent_context, spec_context
 
 from cyclohecke.group import (
     GroupParams,
+    coxeter_word,
     enumerate_group,
     length,
     perm_inversions,
@@ -18,6 +19,7 @@ from cyclohecke.group import (
 from cyclohecke.hecke import (
     HeckeElement,
     HeckeError,
+    _rmul_gen_index,
     m_basis,
     m_tt,
     n_tt,
@@ -27,6 +29,7 @@ from cyclohecke.hecke import (
     young_subgroup,
 )
 from cyclohecke.linalg import SubspaceBasis, invert_matrix
+from cyclohecke.seminormal import SeminormalData, _mat_diag, _mat_mul
 from cyclohecke.tableaux import enumerate_multipartitions, standard_tableaux
 
 
@@ -112,6 +115,51 @@ def test_star(ctx22_sym):
         a = ctx.from_index(rng.choice(idxs))
         b = ctx.from_index(rng.choice(idxs))
         assert (a * b).star() == b.star() * a.star()
+
+
+def _seminormal_rho(sd, shape, idx):
+    """rho_lambda(L^c T_w) = diag(prod_m c_m(t)^{c_m}) rho_lambda(T_w)."""
+    ring = sd.ctx.ring
+    c, w = idx
+    diag = []
+    for cv in sd.shape_contents(shape):
+        d = ring.one()
+        for cm, content in zip(c, cv):
+            for _ in range(cm):
+                d = d * content
+        diag.append(d)
+    return _mat_mul(ring, _mat_diag(ring, diag), sd._word_matrix(shape, coxeter_word(w)))
+
+
+def _seminormal_rho_terms(sd, shape, terms):
+    ring = sd.ctx.ring
+    out = [{} for _ in sd.std[shape]]
+    for idx, coeff in terms:
+        for row, rho_row in zip(out, _seminormal_rho(sd, shape, idx)):
+            for col, v in rho_row.items():
+                row[col] = row.get(col, ring.zero()) + coeff * v
+    return [{col: v for col, v in row.items() if not ring.is_zero(v)} for row in out]
+
+
+@pytest.mark.parametrize("make_ctx", [
+    lambda: spec_context(2, 3, Fraction(2), [Fraction(1), Fraction(100)]),
+    lambda: spec_context(3, 2),
+    lambda: spec_context(1, 4),
+    lambda: fraction_context(2, 2),
+], ids=["2-3", "3-2", "1-4", "2-2-fraction"])
+def test_right_t0_action_matches_the_seminormal_representations(make_ctx):
+    """At a semisimple point the seminormal representations together are
+    faithful, so they decide (L^c T_w) T_0 without the anti-involution or
+    any straightening."""
+    ctx = make_ctx()
+    sd = SeminormalData(ctx)
+    assert sum(len(sd.std[shape]) ** 2 for shape in sd.shapes) == ctx.dimension
+    for shape in sd.shapes:
+        rho_t0 = sd.generator_matrices(shape)[0]
+        for idx in ctx.basis_indices():
+            want = _mat_mul(ctx.ring, _seminormal_rho(sd, shape, idx), rho_t0)
+            got = _seminormal_rho_terms(sd, shape, _rmul_gen_index(ctx, idx, 0))
+            assert got == want, (shape, idx)
 
 
 def test_tau(ctx22_sym):

@@ -143,6 +143,11 @@ def _forged_certificates():
         (with_step(0, side="left"), "step 0: recorded descent condition does not hold"),
         (with_step(0, conjugator=7), "step 0: conjugator out of range"),
         (replace(cert, terminal_element=steps[-1].before), "terminal element mismatch"),
+        # labels that name no element of G(2,3): size 2, and a color >= r
+        (replace(cert, terminal=ColoredSemiBicomposition((1,), (1,), (1,))),
+         "terminal element mismatch"),
+        (replace(cert, terminal=ColoredSemiBicomposition((3,), (2,), ())),
+         "terminal element mismatch"),
         (replace(cert, canonical=ColoredSemiBicomposition((3,), (1,), ())),
          "canonical label mismatch"),
         (replace(cert, canonical_element=steps[-1].before), "canonical element mismatch"),
