@@ -201,8 +201,8 @@ def criterion_hecke_relations(level="full", seed=0, trials=100):
 # -- criterion 4: seminormal suite ------------------------------------------------
 
 def criterion_seminormal(level="full"):
-    from .center import class_data
-    from .linalg import invert_matrix
+    from .center import ClassPolynomials
+    from .linalg import Elimination
     from .seminormal import SeminormalData
     checks = []
     for r, n in [(2, 2), (1, 3)]:
@@ -244,13 +244,9 @@ def criterion_seminormal(level="full"):
                  == snd.F_lambda(shape) for shape in snd.shapes)
         checks.append(Check(
             f"({r},{n}) F_lambda realized as symmetric JM polynomial", ok))
-        classes = class_data(ctx.params)
-        matrix = [
-            [snd.character(shape, t_element(ctx, info.rep)) for info in classes]
-            for shape in snd.shapes
-        ]
         try:
-            invert_matrix(ctx.ring, matrix)
+            Elimination(ctx.ring,
+                        ClassPolynomials(ctx, seminormal=snd).character_matrix())
             ok = True
         except ArithmeticError:
             ok = False
@@ -394,13 +390,19 @@ def criterion_klr(level="full"):
     from .klr import KLRBlocks, WeightData
     checks = []
     cases = [(1, 3, 2, (0,)), (2, 2, 2, (0, 1))]
+    if level == "full":
+        cases += [(1, 3, 3, (0,)), (2, 2, 3, (0, 1)), (2, 2, 2, (0, 0)),
+                  (1, 4, 2, (0,)), (2, 3, 2, (0, 1))]
     for r, n, e, kappa in cases:
         ctx = context_for_weight(r, n, e, kappa)
         blocks = KLRBlocks(ctx, WeightData(e, kappa))
         _, klr_checks = blocks.report()
         ok = all(c[1] for c in klr_checks)
         detail = "; ".join(c[0] for c in klr_checks if not c[1])
-        checks.append(Check(f"(r={r},n={n},e={e}) KLR block suite", ok, detail))
+        # kappa is named when it is not the default 0, .., r-1
+        tag = f"(r={r},n={n},e={e})" if kappa == tuple(range(r)) else \
+            f"(r={r},n={n},e={e},kappa={','.join(map(str, kappa))})"
+        checks.append(Check(f"{tag} KLR block suite", ok, detail))
         okz = True
         for label in blocks.block_labels():
             for i in range(e):
@@ -408,8 +410,7 @@ def criterion_klr(level="full"):
                 okz = okz and is_central(ctx, z)
                 okz = okz and z == blocks.z_recomputed_reversed(i, label)
         checks.append(Check(
-            f"(r={r},n={n},e={e}) z(i,alpha) central and enumeration-invariant",
-            okz))
+            f"{tag} z(i,alpha) central and enumeration-invariant", okz))
     return checks
 
 
@@ -503,10 +504,12 @@ CRITERIA = [
 
 
 def run_acceptance(level="full", only=None):
-    """Run (a subset of) the acceptance criteria; returns [(name, [Check])]."""
-    results = []
-    for name, fn in CRITERIA:
-        if only is not None and not any(str(k) in name for k in only):
-            continue
-        results.append((name, fn(level)))
-    return results
+    """Run (a subset of) the acceptance criteria; returns [(name, [Check])].
+    ``only`` lists criterion numbers; an unknown one raises ValueError."""
+    numbers = {name.split()[0] for name, _ in CRITERIA}
+    wanted = None if only is None else {str(k).strip() for k in only}
+    if wanted is not None and not wanted <= numbers:
+        raise ValueError(f"unknown criteria {sorted(wanted - numbers)}; "
+                         f"choose from 1-{len(CRITERIA)}")
+    return [(name, fn(level)) for name, fn in CRITERIA
+            if wanted is None or name.split()[0] in wanted]

@@ -306,7 +306,7 @@ def cmd_hecke_cocenter_rank(args):
 
 
 def cmd_hecke_seminormal(args):
-    from .center import class_data
+    from .center import ClassPolynomials
     from .seminormal import SeminormalData, check_semisimple
     ctx = build_context(args, need_field=True)
     ok, witness = check_semisimple(ctx)
@@ -315,15 +315,12 @@ def cmd_hecke_seminormal(args):
                  "witness": witness},
                 [("parameters semisimple", False, witness)])
     snd = SeminormalData(ctx)
-    infos = class_data(ctx.params)
+    polys = ClassPolynomials(ctx, seminormal=snd)
     characters = {
         "rows": [[list(c) for c in shape] for shape in snd.shapes],
-        "cols": [format_word(info.word) for info in infos],
-        "entries": [
-            [ctx.ring.format(snd.character(shape, t_element(ctx, info.rep)))
-             for info in infos]
-            for shape in snd.shapes
-        ],
+        "cols": [format_word(info.word) for info in polys.classes],
+        "entries": [[ctx.ring.format(row[info.label]) for info in polys.classes]
+                    for row in polys.character_matrix()],
     }
     result = {
         "context": _context_json(ctx),

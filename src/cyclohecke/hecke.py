@@ -33,6 +33,9 @@ that the $\mathcal{L}_m$ commute.  $T_{w^{-1}} L^c$ is built by left
 generator actions along the reduced word of $w$, so the right action of
 $T_0$ is a sequence of left actions and stays division-free.
 
+A polynomial in one Jucys-Murphy element acts through :func:`jm_polynomial`:
+Horner's rule with $\mathcal{L}_m$ applied as $2m-1$ left generator actions.
+
 A second basis $\{T_w : w \in W_n\}$, one fixed reduced word per group
 element, is available through :func:`t_element`; two reduced words of the
 same element give products that differ only by shorter non-Coxeter terms,
@@ -222,10 +225,16 @@ def _lmul_jm(ctx, m, elt):
     out = elt
     for tok in reversed(word):
         out = _lmul_gen(ctx, tok, out)
-    scale = ctx.ring.one()
-    for _ in range(m - 1):
-        scale = scale * ctx.xi_inv
-    return out.scale(scale)
+    return out.scale(ctx.xi_inv ** (m - 1))
+
+
+def jm_polynomial(ctx, m, poly, elt):
+    """poly(L_m) * elt for a coefficient list ordered low degree first, by
+    Horner through the left action of L_m."""
+    out = ctx.zero()
+    for c in reversed(poly):
+        out = _lmul_jm(ctx, m, out) + elt.scale(c)
+    return out
 
 
 def _star_index(ctx, idx):
@@ -309,10 +318,7 @@ def _index_word_and_scale(ctx, idx):
             word.extend(range(1, m))
             shift += m - 1
     word.extend(coxeter_word(w))
-    scale = ctx.ring.one()
-    for _ in range(shift):
-        scale = scale * ctx.xi_inv
-    return tuple(word), scale
+    return tuple(word), ctx.xi_inv ** shift
 
 
 # -- elements ------------------------------------------------------------------
@@ -484,9 +490,7 @@ def n_tt(ctx, shape):
     elt = ctx.zero()
     for w in young_subgroup(_row_sizes(conj), n):
         ln = perm_inversions(w)
-        coeff = ctx.ring.one()
-        for _ in range(ln):
-            coeff = coeff * ctx.xi_inv
+        coeff = ctx.xi_inv ** ln
         if ln % 2:
             coeff = -coeff
         elt = elt + t_perm(ctx, w).scale(coeff)

@@ -2,19 +2,31 @@ r"""
 Block decomposition and KLR-transported elements of $H^\Lambda_{n,K}$.
 
 Requires cyclotomic parameters in a single $\xi$-orbit, $Q_l = \xi^{\kappa_l}$,
-with $\xi \ne 1$ of quantum characteristic $e$.  The Jucys-Murphy elements
-then have all eigenvalues among $\{\xi^j : j \in \mathbb{Z}/e\}$ and the
-residue idempotents are the joint spectral projectors
+with $\xi \ne 1$ of quantum characteristic $e$.  The residue idempotents are
+the joint spectral projectors
 
     e(i) = prod_k E_{k, i_k},
 
 where $E_{k,v}$ projects onto the generalized $v$-eigenspace of
-$\mathcal{L}_k$.  Each $E_{k,v}$ is an exact polynomial in $\mathcal{L}_k$:
-with minimal polynomial $\mu = (x-v)^{m} q(x)$ and a Bezout identity
-$a (x-v)^{m} + b q = 1$ the projector is $E_{k,v} = b(\mathcal{L}_k)
-q(\mathcal{L}_k)$.  (A plain power iteration of normalized factors cannot
-converge here: on a generalized eigenspace it acts as a unipotent, never as
-the identity, whenever $\mathcal{L}_k$ has a nontrivial Jordan block.)
+$\mathcal{L}_k$.  The tableau contents give an annihilator of
+$\mathcal{L}_k$: at generic parameters $\mathcal{L}_k F_t = c_k(t) F_t$ and
+$\sum_t F_t = 1$, so $\prod_{(l,d)} (\mathcal{L}_k - Q_l \xi^d) = 0$, where
+$(l, d = c - a)$ runs over the distinct generic contents of the nodes that
+entry $k$ occupies in standard tableaux.  The coefficients are Laurent
+polynomials, so the identity holds at every specialization; at
+$Q_l = \xi^{\kappa_l}$ it reads
+
+    mu_k = prod_i (x - xi^i)^{m_i},   m_i = #{(l, d) : kappa_l + d = i mod e},
+
+and it is re-checked on the algebra.  With $q = \mu_k / (x - \xi^i)^{m_i}$
+and a Bezout identity $a (x - \xi^i)^{m_i} + b q = 1$ the projector is
+$E_{k,\xi^i} = b(\mathcal{L}_k) q(\mathcal{L}_k)$, the unique polynomial in
+$\mathcal{L}_k$ that projects onto that generalized eigenspace.  (A plain
+power iteration of normalized factors cannot converge here: on a generalized
+eigenspace it acts as a unipotent, never as the identity, whenever
+$\mathcal{L}_k$ has a nontrivial Jordan block.)  Projectors and the factors
+of $y_m$ are applied by left actions of the $\mathcal{L}_k$
+(:func:`hecke.jm_polynomial`), never through full products.
 
 Transported elements:
 
@@ -32,7 +44,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import SubspaceBasis, solve
+from .hecke import jm_polynomial
+from .linalg import SubspaceBasis
 from .rings import poly_bezout, poly_divmod, poly_mul
 from .tableaux import enumerate_multipartitions, residue_sequence, standard_tableaux
 
@@ -58,53 +71,6 @@ class WeightData:
     def multiplicity(self, i):
         """<Lambda, alpha_i^vee> = number of kappa_l congruent to i."""
         return sum(1 for k in self.kappa if k % self.e == i % self.e)
-
-
-def _peval_element(ctx, poly, elt):
-    """Horner evaluation of a coefficient polynomial at an algebra element."""
-    out = ctx.zero()
-    for c in reversed(poly):
-        out = out * elt + ctx.one().scale(c)
-    return out
-
-
-def minimal_polynomial(ctx, elt):
-    """Monic minimal polynomial of an algebra element, low degree first.
-    The powers of elt enter one echelon until a power depends on the ones
-    before it; that dependency is then solved for once."""
-    ring = ctx.ring
-    basis = SubspaceBasis(ring)
-    powers = []
-    cur = ctx.one()
-    while basis.add(cur.terms):
-        powers.append(cur)
-        if len(powers) > ctx.dimension + 1:
-            raise KLRError("minimal polynomial exceeded the dimension bound")
-        cur = cur * elt
-    keys = sorted(set(cur.terms).union(*(p.terms for p in powers)))
-    matrix = [{j: p.terms[idx] for j, p in enumerate(powers) if idx in p.terms}
-              for idx in keys]
-    sol = solve(ring, matrix, [cur.terms.get(idx, ring.zero()) for idx in keys])
-    return [-sol.get(j, ring.zero()) for j in range(len(powers))] + [ring.one()]
-
-
-def _root_multiplicities(ring, poly, candidates):
-    """Factor poly as prod (x - v)^{m_v} over the candidate roots."""
-    rest = list(poly)
-    mults = {}
-    for v in candidates:
-        m = 0
-        while len(rest) > 1:
-            quot, rem = poly_divmod(ring, rest, [-v, ring.one()])
-            if rem:
-                break
-            rest = quot
-            m += 1
-        if m:
-            mults[v] = m
-    if len(rest) != 1:
-        raise KLRError("eigenvalues are not all powers of xi")
-    return mults
 
 
 class KLRBlocks:
@@ -140,26 +106,38 @@ class KLRBlocks:
     # -- single-operator spectral projectors --------------------------------
 
     def _spectral_projectors(self):
-        ctx, ring, e = self.ctx, self.ctx.ring, self.weight.e
+        """For each k, {residue i: coefficients of the polynomial in L_k that
+        projects onto its generalized xi^i-eigenspace}."""
+        ctx, ring = self.ctx, self.ctx.ring
+        e, kappa, n = self.weight.e, self.weight.kappa, ctx.params.n
+        generic = [set() for _ in range(n)]
+        for shape in enumerate_multipartitions(ctx.params.r, n):
+            for t in standard_tableaux(shape):
+                for k in range(1, n + 1):
+                    l, a, c = t.node_of(k)
+                    generic[k - 1].add((l, c - a))
         out = []
-        for k in range(1, ctx.params.n + 1):
-            jm = ctx.jm(k)
-            mu = minimal_polynomial(ctx, jm)
-            mults = _root_multiplicities(ring, mu, self.xi_powers)
+        for k, contents in enumerate(generic, start=1):
+            mults = Counter((kappa[l - 1] + d) % e for l, d in contents)
+            factors = {}
+            mu = [ring.one()]
+            for i, m in sorted(mults.items()):
+                factors[i] = [ring.one()]
+                for _ in range(m):
+                    factors[i] = poly_mul(ring, factors[i],
+                                          [-self.xi_powers[i], ring.one()])
+                mu = poly_mul(ring, mu, factors[i])
+            if not jm_polynomial(ctx, k, mu, ctx.one()).is_zero():
+                raise KLRError(f"the content polynomial does not annihilate L_{k}")
             projs = {}
             total = ctx.zero()
-            for v, m in mults.items():
-                factor = [ring.one()]
-                for _ in range(m):
-                    factor = poly_mul(ring, factor, [-v, ring.one()])
-                q, rem = poly_divmod(ring, mu, factor)
-                if rem:
-                    raise KLRError("inconsistent factorization")
+            for i, factor in factors.items():
+                q, _ = poly_divmod(ring, mu, factor)
                 _, b = poly_bezout(ring, factor, q)
-                proj = _peval_element(ctx, poly_mul(ring, b, q), jm)
-                if not (proj * proj == proj):
+                projs[i] = poly_mul(ring, b, q)
+                proj = jm_polynomial(ctx, k, projs[i], ctx.one())
+                if not (jm_polynomial(ctx, k, projs[i], proj) == proj):
                     raise KLRError("spectral projector failed idempotency")
-                projs[self.xi_powers.index(v)] = proj
                 total = total + proj
             if not (total == ctx.one()):
                 raise KLRError("spectral projectors do not resolve the identity")
@@ -169,19 +147,27 @@ class KLRBlocks:
     # -- joint idempotents e(i) ----------------------------------------------
 
     def _joint_idempotents(self):
-        import itertools
-        ctx = self.ctx
-        out = {}
-        residue_options = [sorted(projs.keys()) for projs in self._spectral]
-        for combo in itertools.product(*residue_options):
-            elt = ctx.one()
-            for k, i in enumerate(combo):
-                elt = elt * self._spectral[k][i]
-                if elt.is_zero():
-                    break
-            if not elt.is_zero():
-                out[tuple(combo)] = elt
-        return out
+        """The nonzero e(i), in lexicographic order of i: the projector
+        polynomials of L_n down to L_1 applied to 1, so that a zero partial
+        product prunes every sequence that extends it."""
+        partial = {(): self.ctx.one()}
+        for k in range(self.ctx.params.n, 0, -1):
+            step = {}
+            for suffix, x in partial.items():
+                for i, poly in self._spectral[k - 1].items():
+                    y = jm_polynomial(self.ctx, k, poly, x)
+                    if not y.is_zero():
+                        step[(i,) + suffix] = y
+            partial = step
+        return dict(sorted(partial.items()))
+
+    def _times_e(self, i, x):
+        """e(i) x for a residue sequence i of the support."""
+        for k in range(len(i), 0, -1):
+            if x.is_zero():
+                break
+            x = jm_polynomial(self.ctx, k, self._spectral[k - 1][i[k - 1]], x)
+        return x
 
     def e(self, i):
         return self.idempotents.get(tuple(j % self.weight.e for j in i),
@@ -229,13 +215,15 @@ class KLRBlocks:
     # -- KLR y elements and z(i, alpha) ------------------------------------------
 
     def y(self, m):
-        ctx = self.ctx
-        out = ctx.zero()
-        jm = ctx.jm(m)
+        out = self.ctx.zero()
         for i, ei in self.idempotents.items():
-            inv = self._xi_power(-i[m - 1])
-            out = out + (ei - (jm * ei).scale(inv))
+            out = out + jm_polynomial(self.ctx, m, self._y_factor(i[m - 1]), ei)
         return out
+
+    def _y_factor(self, i):
+        """1 - xi^{-i} x: y_k acts on e(nu) as this polynomial in L_k when
+        nu_k = i."""
+        return [self.ctx.ring.one(), -self._xi_power(-i)]
 
     def _xi_power(self, k):
         e = self.weight.e
@@ -252,14 +240,10 @@ class KLRBlocks:
 
     def cyclotomic_check(self):
         """y_1^{<Lambda, alpha_{nu_1}^vee>} e(nu) = 0 for every nu."""
-        ctx = self.ctx
-        jm1 = ctx.jm(1)
         for nu, e_nu in self.idempotents.items():
-            mult = self.weight.multiplicity(nu[0])
-            y1_enu = e_nu - (jm1 * e_nu).scale(self._xi_power(-nu[0]))
             cur = e_nu
-            for _ in range(mult):
-                cur = cur * y1_enu
+            for _ in range(self.weight.multiplicity(nu[0])):
+                cur = jm_polynomial(self.ctx, 1, self._y_factor(nu[0]), cur)
             if not cur.is_zero():
                 return False, nu
         return True, None
@@ -273,11 +257,9 @@ class KLRBlocks:
             if tuple(sorted(Counter(nu).items())) != key:
                 continue
             part = e_nu
-            jm_cache = {}
             for k, res in enumerate(nu, start=1):
                 if res % self.weight.e == i % self.weight.e:
-                    jm = jm_cache.setdefault(k, ctx.jm(k))
-                    part = part - (jm * part).scale(self._xi_power(-i))
+                    part = jm_polynomial(ctx, k, self._y_factor(i), part)
             out = out + part
         return out
 
@@ -308,11 +290,9 @@ class KLRBlocks:
         for _, ei in ids:
             total = total + ei
         checks.append(("sum e(i) = 1", total == ctx.one(), ""))
-        orth = all(
-            (ids[a][1] * ids[b][1]).is_zero()
-            for a in range(len(ids)) for b in range(len(ids)) if a != b
-        )
-        idem = all((ei * ei == ei) for _, ei in ids)
+        orth = all(self._times_e(i, ej).is_zero()
+                   for i, _ in ids for j, ej in ids if i != j)
+        idem = all(self._times_e(i, ei) == ei for i, ei in ids)
         checks.append(("e(i) orthogonal idempotents", orth and idem, ""))
         checks.append((
             "support matches standard-tableaux residue sequences",

@@ -139,6 +139,20 @@ def euler_phi(e):
     return len(cyclotomic_polynomial(e)) - 1
 
 
+def _power(base, k, one):
+    """base ** k for an integer k >= 0, by square-and-multiply; no product
+    with the unit and no squaring past the top bit.  ``one()`` builds the
+    unit, which only k = 0 needs."""
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one() if out is None else out
+
+
 class Cyc:
     """An element of Q(zeta_e), reduced modulo Phi_e."""
 
@@ -218,14 +232,7 @@ class Cyc:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyc.from_rational(self.e, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, lambda: Cyc.from_rational(self.e, 1))
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -375,14 +382,7 @@ class Laurent:
     def __pow__(self, k):
         if k < 0:
             return self.inverse_unit() ** (-k)
-        out = Laurent.const(self.nq, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, lambda: Laurent.const(self.nq, 1))
 
     def is_zero(self):
         return not self.terms
@@ -434,13 +434,7 @@ class Laurent:
         for exps, c in sorted(self.terms.items()):
             term = one * c
             for v, a in zip(values, exps):
-                if a >= 0:
-                    for _ in range(a):
-                        term = term * v
-                else:
-                    inv = invert_unit(v)
-                    for _ in range(-a):
-                        term = term * inv
+                term = term * v ** a
             out = out + term
         return out
 
@@ -652,14 +646,7 @@ class LaurentFrac:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = LaurentFrac.const(self.nq, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, lambda: LaurentFrac.const(self.nq, 1))
 
     def is_zero(self):
         return self.num.is_zero()

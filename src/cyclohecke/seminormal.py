@@ -11,8 +11,10 @@ idempotents are built from Jucys-Murphy interpolation:
 
     F_t = prod_k prod_{c in C(k), c != c_k(t)} (L_k - c) / (c_k(t) - c),
 
-where C(k) collects the possible contents of entry k over all shapes.  The
-seminormal basis is f_{st} = F_s m_{st} F_t with multiplication rule
+where C(k) collects the possible contents of entry k over all shapes; the
+factor for each k is one polynomial in L_k, applied by left Jucys-Murphy
+actions (:func:`hecke.jm_polynomial`).  The seminormal basis is
+f_{st} = F_s m_{st} F_t with multiplication rule
 f_{st} f_{uv} = delta_{tu} gamma_t f_{sv}; the dual version g_{st} uses the
 n-basis.  Schur elements arise as s_lambda = 1 / tau(F_t), independent of
 the choice of t.
@@ -41,8 +43,14 @@ contents, and the normalized product of the separators evaluated at
 
 from __future__ import annotations
 
-from .hecke import HeckeError, elementary_symmetric_jm, m_basis, n_basis
-from .rings import elementary_symmetric
+from .hecke import (
+    HeckeError,
+    elementary_symmetric_jm,
+    jm_polynomial,
+    m_basis,
+    n_basis,
+)
+from .rings import elementary_symmetric, poly_mul
 from .group import coxeter_word
 from .tableaux import (
     StdTableau,
@@ -240,19 +248,20 @@ class SeminormalData:
         cached = self._ft.get(key)
         if cached is not None:
             return cached
-        ctx = self.ctx
+        ctx, ring = self.ctx, self.ctx.ring
         cv = self.contents(t)
         out = ctx.one()
         for k in range(1, ctx.params.n + 1):
-            jm = ctx.jm(k)
+            factor = [ring.one()]
             for c in self.content_sets[k - 1]:
                 if c == cv[k - 1]:
                     continue
                 denom = cv[k - 1] - c
-                if ctx.ring.is_zero(denom):
+                if ring.is_zero(denom):
                     raise NotSemisimpleError("content collision under semisimplicity")
-                out = (jm - ctx.one().scale(c)) * out
-                out = out.scale(ctx.ring.invert(denom))
+                inv = ring.invert(denom)
+                factor = poly_mul(ring, factor, [-c * inv, inv])
+            out = jm_polynomial(ctx, k, factor, out)
         self._ft[key] = out
         return out
 

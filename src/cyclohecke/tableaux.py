@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rings import invert_unit
-
 
 # -- partitions ---------------------------------------------------------------
 
@@ -277,16 +275,8 @@ def pair_dominance_lt(uv, st):
 def content(t, k, xi, Q):
     """xi^{c-a} Q_l for the node of entry k."""
     l, a, c = t.node_of(k)
-    val = Q[l - 1]
-    d = c - a
-    if d >= 0:
-        for _ in range(d):
-            val = val * xi
-    else:
-        inv = invert_unit(xi)
-        for _ in range(-d):
-            val = val * inv
-    return val
+    # on the diagonal no product with the unit
+    return Q[l - 1] * xi ** (c - a) if c != a else Q[l - 1]
 
 
 def content_vector(t, xi, Q):

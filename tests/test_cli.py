@@ -221,6 +221,17 @@ def test_selftest_single_criterion():
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_selftest_criteria_match_by_number():
+    code, rep = run_json(["selftest", "--level", "quick", "--criteria", "5,7"])
+    assert code == 0
+    assert [name.split()[0] for name in rep["result"]["criteria"]] == ["5", "7"]
+    for bad in ("99", "o", "x", "5,99"):
+        code, out, err = run_cli(["selftest", "--level", "quick",
+                                  "--criteria", bad])
+        assert code == 2 and not out, bad
+        assert "unknown criteria" in err
+
+
 def test_table_format():
     code, out, _ = run_cli(["group", "classes", "--r", "2", "--n", "2",
                             "--format", "table"])

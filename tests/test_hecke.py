@@ -20,6 +20,7 @@ from cyclohecke.hecke import (
     HeckeElement,
     HeckeError,
     _rmul_gen_index,
+    jm_polynomial,
     m_basis,
     m_tt,
     n_tt,
@@ -160,6 +161,29 @@ def test_right_t0_action_matches_the_seminormal_representations(make_ctx):
             want = _mat_mul(ctx.ring, _seminormal_rho(sd, shape, idx), rho_t0)
             got = _seminormal_rho_terms(sd, shape, _rmul_gen_index(ctx, idx, 0))
             assert got == want, (shape, idx)
+
+
+@pytest.mark.parametrize("make_ctx", [
+    lambda: laurent_context(2, 3),
+    lambda: spec_context(1, 4),
+], ids=["2-3-laurent", "1-4"])
+def test_jm_polynomial_matches_horner_through_products(make_ctx):
+    # at r = 1, L_m is not a basis element
+    ctx = make_ctx()
+    ring = ctx.ring
+    rng = random.Random(7)
+    idxs = list(ctx.basis_indices())
+    for m in range(1, ctx.params.n + 1):
+        for _ in range(3):
+            poly = [ring.from_int(rng.randint(-3, 3)) for _ in range(4)]
+            elt = ctx.zero()
+            for _ in range(3):
+                elt = elt + ctx.from_index(rng.choice(idxs),
+                                           ring.from_int(rng.randint(1, 5)))
+            want = ctx.zero()
+            for c in reversed(poly):
+                want = want * ctx.jm(m) + ctx.one().scale(c)
+            assert jm_polynomial(ctx, m, poly, elt) == want * elt, (m, poly)
 
 
 def test_tau(ctx22_sym):

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
-from conftest import spec_context
-
 from cyclohecke.center import context_for_weight, is_central
-from cyclohecke.klr import KLRBlocks, KLRError, WeightData, minimal_polynomial
+from cyclohecke import klr
+from cyclohecke.hecke import HeckeElement
+from cyclohecke.klr import KLRBlocks, KLRError, WeightData
 from cyclohecke.tableaux import (
     enumerate_multipartitions,
     residue_sequence,
@@ -23,19 +25,70 @@ def blocks22():
     return KLRBlocks(ctx, WeightData(2, (0, 1)))
 
 
-def test_minimal_polynomial_quadratic():
-    ctx = context_for_weight(1, 2, 2, (0,))
-    mu = minimal_polynomial(ctx, ctx.generator(1))
-    # (T + 1)(T - xi) with xi = -1 collapses to (T + 1)^2
-    assert len(mu) == 3
+def _reference_projector(ctx, k, v, roots):
+    """The generalized v-eigenspace projector of L_k from full products:
+    A = prod_{u != v} (L_k - u) / (v - u) is the identity plus a nilpotent
+    there and nilpotent on every other generalized eigenspace, and
+    X -> 3 X^2 - 2 X^3 squares the nilpotent error at each step."""
+    one = ctx.one()
+    x = one
+    for u in roots:
+        if u != v:
+            x = (ctx.jm(k) - one.scale(u)) * x
+            x = x.scale(ctx.ring.invert(v - u))
+    for _ in range(ctx.dimension.bit_length() + 1):
+        if x * x == x:
+            return x
+        x = (x * x).scale(ctx.ring.from_int(3)) - (x * x * x).scale(ctx.ring.from_int(2))
+    raise AssertionError("the projector iteration did not settle")
 
 
-def test_minimal_polynomial_of_generators_at_a_semisimple_point():
-    # (T_1 - xi)(T_1 + 1) and (T_0 - Q_1)(T_0 - Q_2), xi = 2, Q = (1, 100)
-    ctx = spec_context(2, 2)
-    assert minimal_polynomial(ctx, ctx.generator(1)) == [-2, -1, 1]
-    assert minimal_polynomial(ctx, ctx.generator(0)) == [100, -101, 1]
-    assert minimal_polynomial(ctx, ctx.one()) == [-1, 1]
+@pytest.mark.parametrize("r,n,e,kappa", [(2, 3, 2, (0, 1)), (2, 2, 3, (0, 1))])
+def test_idempotents_match_a_product_built_reference(r, n, e, kappa):
+    ctx = context_for_weight(r, n, e, kappa)
+    blocks = KLRBlocks(ctx, WeightData(e, kappa))
+    roots = blocks.xi_powers
+    projectors = [[_reference_projector(ctx, k, v, roots) for v in roots]
+                  for k in range(1, n + 1)]
+    want = {}
+    for seq in itertools.product(range(e), repeat=n):
+        elt = ctx.one()
+        for k, i in enumerate(seq):
+            elt = elt * projectors[k][i]
+        if not elt.is_zero():
+            want[seq] = elt
+    assert list(blocks.idempotents) == list(want)
+    assert blocks.idempotents == want
+
+
+def test_jm_polynomials_make_no_full_products(monkeypatch):
+    ctx = context_for_weight(2, 2, 3, (0, 1))
+
+    def refuse(self, other):
+        raise AssertionError("full product")
+
+    monkeypatch.setattr(HeckeElement, "__mul__", refuse)
+    blocks = KLRBlocks(ctx, WeightData(3, (0, 1)))
+    assert blocks.cyclotomic_check() == (True, None)
+    for m in (1, 2):
+        blocks.y(m)
+    for label in blocks.block_labels():
+        for i in range(3):
+            blocks.z(i, label)
+        # the reversed enumeration stays on products, as an independent route
+        with pytest.raises(AssertionError, match="full product"):
+            blocks.z_recomputed_reversed(label[0][0], label)
+
+
+def test_content_annihilator_is_checked(monkeypatch):
+    # with the tableaux of one shape only, the content polynomial of L_2 is
+    # x - xi, which L_2 does not satisfy
+    real = klr.standard_tableaux
+    monkeypatch.setattr(klr, "standard_tableaux",
+                        lambda shape: real(shape) if shape == ((3,),) else [])
+    ctx = context_for_weight(1, 3, 2, (0,))
+    with pytest.raises(KLRError, match="annihilate L_2"):
+        KLRBlocks(ctx, WeightData(2, (0,)))
 
 
 def test_idempotent_completeness(blocks13, blocks22):

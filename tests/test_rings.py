@@ -76,6 +76,23 @@ def test_bezout_rejects_common_factor():
         poly_bezout(Q, f, g)
 
 
+def test_powers_match_repeated_products():
+    cyc = Cyc(5, [1, 2, 0, -1])
+    lau = Laurent(2, {(1, 0, 0): 2, (0, -1, 1): -1})
+    frac = LaurentFrac(Laurent.var_xi(2)) + LaurentFrac(Laurent.var_q(2, 1))
+    for x, one, inv in [(cyc, Cyc.from_rational(5, 1), cyc.inverse()),
+                        (Laurent.var_xi(2), Laurent.const(2, 1),
+                         Laurent.var_xi(2).inverse_unit()),
+                        (lau, Laurent.const(2, 1), None),
+                        (frac, LaurentFrac.const(2, 1), frac.inverse())]:
+        want = one
+        for k in range(9):
+            assert x ** k == want, (x, k)
+            if inv is not None:
+                assert inv ** k == x ** -k
+            want = want * x
+
+
 def test_zeta2_embeds_rationals():
     z = Cyc.zeta(2)
     assert z * z == 1
