@@ -25,10 +25,14 @@ representative is chosen exactly when T_w - T_{w_C} lies in [H, H] for
 every minimal-length w of every class C;
 ``representative_dependence_report`` checks that by membership alone.
 
-The dual-basis constructions follow: T_w^vee is the tau-dual basis of
-{T_w}, y_C = sum_w f_{w,C} T_w^vee and z_C = sum_w g_{w,C} b_w with
-b_w = (T_{w^{-1}})^vee, which is y_{beta_hat(C)}; both families are bases
-of the center.
+The center bases of Chavli-Pfeiffer type follow.  y_C = sum_w f_{w,C}
+T_w^vee is the basis of the center dual, under tau, to the cocenter basis
+{T_{w_C}}: tau(T_{w_D} y_C) = delta_{CD}.  Conversely a central z with those
+pairings has tau(T_u z) = f_{u,C} for every u, because T_u - sum_D f_{u,D}
+T_{w_D} lies in [H, H] and tau([a, b] z) = 0 for central z.  So y_C is
+read off the center itself, by solving the #classes x #classes system of
+pairings tau(T_{w_D} z_j) against the nullspace basis z_j, with no tau-dual
+basis of H.  z_C = sum_w g_{w,C} (T_{w^{-1}})^vee is y_{beta_hat(C)}.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from dataclasses import dataclass
 
 from .group import (
     GroupElement,
+    bm_word,
     conjugacy_invariant,
-    enumerate_group,
     length,
     phi_inverse,
     w_alpha,
@@ -48,9 +52,10 @@ from .hecke import (
     _bump,
     _lmul_gen_index,
     _rmul_gen_index,
+    _terms_lmul,
     t_element,
 )
-from .linalg import Elimination, SubspaceBasis, invert_matrix, nullspace
+from .linalg import Elimination, SubspaceBasis, nullspace
 from .tableaux import enumerate_multipartitions
 
 
@@ -252,45 +257,30 @@ class ClassPolynomials:
         return info.rep.inverse()
 
 
-# -- dual bases and the center bases of Chavli-Pfeiffer type --------------------
+# -- the center bases of Chavli-Pfeiffer type ------------------------------------
 
-class DualBasis:
-    """tau-dual family of the fixed-word basis {T_w | w in W_n}."""
-
-    def __init__(self, ctx, budget=50_000):
-        self.ctx = ctx
-        self.order = sorted(enumerate_group(ctx.params, budget),
-                            key=lambda w: (length(w), w.colors, w.perm))
-        self.t_elts = [t_element(ctx, w) for w in self.order]
-        # invert_matrix raises when tau degenerates
-        inv = invert_matrix(ctx.ring, tau_gram(self.t_elts))
-        self.duals = [_combination(ctx, zip(self.t_elts, col))
-                      for col in zip(*inv)]
-        self._pos = {w: i for i, w in enumerate(self.order)}
-
-    def dual(self, w):
-        return self.duals[self._pos[w]]
-
-    def t(self, w):
-        return self.t_elts[self._pos[w]]
-
-
-def tau_gram(elts):
-    """tau(a b) over pairs of elts, from the upper triangle: tau is a trace."""
-    gram = [[None] * len(elts) for _ in elts]
-    for i, a in enumerate(elts):
-        for j in range(i, len(elts)):
-            gram[i][j] = gram[j][i] = (a * elts[j]).tau()
-    return gram
-
-
-def center_bases_yz(ctx, polys, dual, fs):
-    """(y_C, z_C) families indexed by class labels, from the f rows ``fs`` of
-    every w in ``dual.order``.  Substituting u = w^{-1} in the sum of z_C
-    turns it into y_{beta_hat(C)}."""
-    ys = {info.label: _combination(
-              ctx, ((dual.dual(w), fs[w][info.label]) for w in dual.order))
-          for info in polys.classes}
+def center_bases_yz(ctx, polys):
+    """(y_C, z_C) families indexed by class labels: y_C is the central
+    element with tau(T_{w_D} y_C) = delta_{CD}, and z_C = y_{beta_hat(C)}.
+    A singular pairing contradicts the cocenter theorem: ArithmeticError."""
+    elements, _ = center(ctx)
+    ident, zero, one = ctx.identity_index(), ctx.ring.zero(), ctx.ring.one()
+    pairing = []          # row D: tau(T_{w_D} z_j), by left generator actions
+    for info in polys.classes:
+        word = bm_word(info.rep)
+        row = {}
+        for j, z in enumerate(elements):
+            terms = z.terms
+            for tok in reversed(word):
+                terms = _terms_lmul(ctx, tok, terms)
+            row[j] = terms.get(ident, zero)
+        pairing.append(row)
+    elim = Elimination(ctx.ring, pairing)
+    ys = {}
+    for info in polys.classes:
+        sol = elim.solve([one if c is info else zero for c in polys.classes])
+        ys[info.label] = _combination(
+            ctx, ((z, sol[j]) for j, z in enumerate(elements)))
     zs = {label: ys[polys._beta_hat[label]] for label in ys}
     return ys, zs
 

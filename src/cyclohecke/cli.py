@@ -249,21 +249,20 @@ def cmd_hecke_class_polys(args):
 
 
 def cmd_hecke_dual_class_polys(args):
-    from .center import ClassPolynomials, DualBasis, center_bases_yz, is_central
-    from .group import bm_word
+    from .center import ClassPolynomials, center_bases_yz, is_central
+    from .group import bm_word, enumerate_group
     ctx = build_context(args, need_field=True)
     polys = ClassPolynomials(ctx)
-    dual = DualBasis(ctx, args.budget)
-    fs = {w: polys.f_polys(w, check_residual=False) for w in dual.order}
     table = {}
-    for w in dual.order:
-        coeffs = polys.g_from_f(fs[w.inverse()])
+    for w in sorted(enumerate_group(ctx.params, args.budget),
+                    key=lambda w: (length(w), w.colors, w.perm)):
+        coeffs = polys.g_polys(w, check_residual=False)
         table[format_word(bm_word(w))] = {
             "|".join(",".join(map(str, c)) for c in label):
                 ctx.ring.format(val)
             for label, val in coeffs.items()
         }
-    ys, _ = center_bases_yz(ctx, polys, dual, fs)   # z_C is y_{beta_hat(C)}
+    ys, _ = center_bases_yz(ctx, polys)   # z_C is y_{beta_hat(C)}
     ok = all(is_central(ctx, y) for y in ys.values())
     result = {"context": _context_json(ctx), "g": table}
     return result, [("y_C and z_C are central", ok, "")]

@@ -411,10 +411,24 @@ class HeckeElement:
 
     @staticmethod
     def from_json(ctx, payload):
+        """The inverse of ``to_json``; HeckeError unless every term names a
+        basis element L^c T_w of ctx and carries its coefficient as text."""
+        r, n = ctx.params.r, ctx.params.n
+        if not isinstance(payload, list):
+            raise HeckeError("an element is a list of terms")
         terms = {}
         for item in payload:
-            idx = (tuple(item["c"]), tuple(item["w"]))
-            _bump(ctx, terms, idx, ctx.ring.parse(item["coeff"]))
+            if not (isinstance(item, dict) and {"c", "w"} <= item.keys()
+                    and isinstance(item.get("coeff"), str)):
+                raise HeckeError('a term is {"c": .., "w": .., "coeff": "text"}')
+            c, w = item["c"], item["w"]
+            if not (isinstance(c, list) and len(c) == n and
+                    all(type(x) is int and 0 <= x < r for x in c)):
+                raise HeckeError(f"colors {c!r} are not {n} values in 0..{r - 1}")
+            if not (isinstance(w, list) and all(type(x) is int for x in w)
+                    and sorted(w) == list(range(1, n + 1))):
+                raise HeckeError(f"{w!r} is not a permutation of 1..{n}")
+            _bump(ctx, terms, (tuple(c), tuple(w)), ctx.ring.parse(item["coeff"]))
         return HeckeElement(ctx, terms)
 
 

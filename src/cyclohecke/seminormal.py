@@ -67,9 +67,9 @@ class NotSemisimpleError(ArithmeticError):
     pass
 
 
-def semisimplicity_witness(ctx):
-    """None when the criterion product is a unit, else a description of a
-    vanishing factor."""
+def check_semisimple(ctx):
+    """(True, None) when the displayed criterion product is a unit, else
+    (False, a description of a vanishing factor)."""
     ring, xi = ctx.ring, ctx.xi
     if not ring.is_field:
         raise HeckeError("semisimplicity test needs a field coefficient ring")
@@ -81,21 +81,15 @@ def semisimplicity_witness(ctx):
             total = total + power
             power = power * xi
         if ring.is_zero(total):
-            return f"1 + xi + .. + xi^{k - 1} = 0"
+            return False, f"1 + xi + .. + xi^{k - 1} = 0"
     r, n = ctx.params.r, ctx.params.n
     for l in range(1, r + 1):
         for lp in range(l + 1, r + 1):
             for k in range(-(n - 1), n):
                 factor = xi ** k * ctx.qs[l - 1] - ctx.qs[lp - 1]
                 if ring.is_zero(factor):
-                    return f"xi^{k} Q{l} - Q{lp} = 0"
-    return None
-
-
-def check_semisimple(ctx):
-    """(bool, witness-or-None) for the displayed criterion product."""
-    witness = semisimplicity_witness(ctx)
-    return witness is None, witness
+                    return False, f"xi^{k} Q{l} - Q{lp} = 0"
+    return True, None
 
 
 # -- the Ariki-Koike seminormal matrices -------------------------------------

@@ -194,6 +194,15 @@ def test_usage_errors_exit_2():
                                   "--spec", spec])
         assert code == 2 and not out
         assert "zero denominator" in err and "internal inconsistency" not in err
+    mult = ["hecke", "mult", "--r", "2", "--n", "2", "--spec", "xi=2,Q=1,100",
+            "--y-word", "t s1", "--x"]
+    for x in ('[{"c":[0,3],"w":[1,2],"coeff":"1"}]',
+              '[{"c":[5],"w":[1,2],"coeff":"1"}]',
+              '[{"c":[0,1],"w":[2,2],"coeff":"1"}]',
+              '[{"c":[0,1],"w":[1,2]}]',
+              '{"c":[0,1],"w":[1,2],"coeff":"1"}'):
+        code, out, err = run_cli(mult + [x])
+        assert code == 2 and not out and "Traceback" not in err
 
 
 def test_klr_weight_errors_exit_2():

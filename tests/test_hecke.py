@@ -306,6 +306,22 @@ def test_element_serialization(ctx22_sym):
     assert payload == sorted(payload, key=lambda item: (item["c"], item["w"]))
 
 
+@pytest.mark.parametrize("payload", [
+    {"c": [0, 1], "w": [1, 2], "coeff": "1"},           # not a list
+    [[0, 1]],                                           # term not an object
+    [{"c": [0, 1], "w": [1, 2]}],                       # no coefficient
+    [{"c": [0, 1], "w": [1, 2], "coeff": 1}],           # coefficient not text
+    [{"c": [0, 3], "w": [1, 2], "coeff": "1"}],         # colour >= r
+    [{"c": [5], "w": [1, 2], "coeff": "1"}],            # wrong length
+    [{"c": [True, 0], "w": [1, 2], "coeff": "1"}],      # boolean colour
+    [{"c": [0, 1], "w": [2, 2], "coeff": "1"}],         # not a permutation
+    [{"c": [0, 1], "w": [1, "2"], "coeff": "1"}],       # text entry
+])
+def test_element_deserialization_rejects_malformed_terms(ctx22_spec, payload):
+    with pytest.raises(HeckeError):
+        HeckeElement.from_json(ctx22_spec, payload)
+
+
 def test_specialized_relations_2_4():
     ctx = spec_context(2, 4)
     T = [ctx.generator(i) for i in range(4)]
