@@ -58,6 +58,9 @@ def build_ring(args, r):
     else:
         raise UsageError(f"unknown ring {ring_arg!r}")
     if ring.kind in ("laurent", "fraction-of-laurent"):
+        if spec_arg:
+            raise UsageError(f"--spec does not apply to --ring {ring_arg}: "
+                             "its parameters stay symbolic")
         return ring, ring.xi(), [ring.q(l) for l in range(1, r + 1)]
     if not spec_arg:
         raise UsageError("this ring needs --spec \"xi=V,Q=V1,..,Vr\"")

@@ -385,9 +385,6 @@ class HeckeElement:
     def is_zero(self):
         return not self.terms
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def __eq__(self, other):
         return (
             isinstance(other, HeckeElement)
@@ -428,7 +425,12 @@ class HeckeElement:
             if not (isinstance(w, list) and all(type(x) is int for x in w)
                     and sorted(w) == list(range(1, n + 1))):
                 raise HeckeError(f"{w!r} is not a permutation of 1..{n}")
-            _bump(ctx, terms, (tuple(c), tuple(w)), ctx.ring.parse(item["coeff"]))
+            try:
+                coeff = ctx.ring.parse(item["coeff"])
+            except ZeroDivisionError:
+                raise HeckeError(
+                    f"zero denominator in coefficient {item['coeff']!r}") from None
+            _bump(ctx, terms, (tuple(c), tuple(w)), coeff)
         return HeckeElement(ctx, terms)
 
 
@@ -455,7 +457,7 @@ def t_perm(ctx, perm):
     return word_product(ctx, coxeter_word(perm))
 
 
-# -- cellular bases -------------------------------------------------------------
+# -- the Murphy cellular basis --------------------------------------------------
 
 def young_subgroup(row_sizes, n):
     """All permutations preserving the consecutive blocks of given sizes."""
@@ -495,27 +497,6 @@ def m_tt(ctx, shape):
     return elt
 
 
-def n_tt(ctx, shape):
-    """The diagonal dual cellular generator n_{t_mu, t_mu}."""
-    from .tableaux import conjugate_multipartition
-    from .group import perm_inversions
-    n, r = ctx.params.n, ctx.params.r
-    conj = conjugate_multipartition(shape)
-    elt = ctx.zero()
-    for w in young_subgroup(_row_sizes(conj), n):
-        ln = perm_inversions(w)
-        coeff = ctx.xi_inv ** ln
-        if ln % 2:
-            coeff = -coeff
-        elt = elt + t_perm(ctx, w).scale(coeff)
-    cum = 0
-    for k in range(2, r + 1):
-        cum += sum(shape[r - k + 1])
-        for m in range(1, cum + 1):
-            elt = elt * (ctx.jm(m) - ctx.one().scale(ctx.qs[r - k]))
-    return elt
-
-
 def m_basis(ctx, s, t, diag_cache=None):
     """The Murphy cellular basis element m_{st}."""
     from .tableaux import d_perm
@@ -529,22 +510,6 @@ def m_basis(ctx, s, t, diag_cache=None):
             diag_cache[s.shape] = diag
     left = t_perm(ctx, perm_inverse(d_perm(s)))
     right = t_perm(ctx, d_perm(t))
-    return left * diag * right
-
-
-def n_basis(ctx, s, t, diag_cache=None):
-    """The dual cellular basis element n_{st}."""
-    from .tableaux import d_perm_col
-    from .group import perm_inverse
-    if s.shape != t.shape:
-        raise HeckeError("tableaux must share a shape")
-    diag = (diag_cache or {}).get(s.shape)
-    if diag is None:
-        diag = n_tt(ctx, s.shape)
-        if diag_cache is not None:
-            diag_cache[s.shape] = diag
-    left = t_perm(ctx, perm_inverse(d_perm_col(s)))
-    right = t_perm(ctx, d_perm_col(t))
     return left * diag * right
 
 

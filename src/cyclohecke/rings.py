@@ -951,7 +951,7 @@ def _parse_cyc(e, text):
     out = Cyc.from_rational(e, 0)
     for token in text.split(" + "):
         coeff, exps = _parse_signed_monomial(token, ("z",))
-        out = out + Cyc(e, [0] * exps[0] + [coeff])
+        out = out + Cyc(e, [0] * (exps[0] % e) + [coeff])
     return out
 
 

@@ -15,9 +15,8 @@ where C(k) collects the possible contents of entry k over all shapes; the
 factor for each k is one polynomial in L_k, applied by left Jucys-Murphy
 actions (:func:`hecke.jm_polynomial`).  The seminormal basis is
 f_{st} = F_s m_{st} F_t with multiplication rule
-f_{st} f_{uv} = delta_{tu} gamma_t f_{sv}; the dual version g_{st} uses the
-n-basis.  Schur elements arise as s_lambda = 1 / tau(F_t), independent of
-the choice of t.
+f_{st} f_{uv} = delta_{tu} gamma_t f_{sv}.  Schur elements arise as
+s_lambda = 1 / tau(F_t), independent of the choice of t.
 
 Characters come from the Ariki-Koike seminormal form (Ariki-Koike 1994,
 normalised as in Mathas 2004): matrices rho_lambda(T_i) indexed by the
@@ -48,7 +47,6 @@ from .hecke import (
     elementary_symmetric_jm,
     jm_polynomial,
     m_basis,
-    n_basis,
 )
 from .rings import elementary_symmetric, poly_mul
 from .group import coxeter_word
@@ -218,13 +216,10 @@ class SeminormalData:
                                          ctx.xi, ctx.qs)
         self._ft = {}
         self._f = {}
-        self._g = {}
         self._gamma = {}
-        self._gamma_prime = {}
         self._flam = {}
         self._schur = {}
         self._mdiag = {}
-        self._ndiag = {}
         self._shape_contents = {}
         self._rho = {}
         self._word_rho = {}
@@ -278,14 +273,6 @@ class SeminormalData:
             self._f[key] = cached
         return cached
 
-    def g(self, s, t):
-        key = (s.shape, s.rows, t.rows)
-        cached = self._g.get(key)
-        if cached is None:
-            cached = self.F(s) * n_basis(self.ctx, s, t, self._ndiag) * self.F(t)
-            self._g[key] = cached
-        return cached
-
     def _diag_scalar(self, elt, squared):
         """The scalar gamma with squared == gamma * elt."""
         ring = self.ctx.ring
@@ -306,17 +293,6 @@ class SeminormalData:
             if self.ctx.ring.is_zero(cached):
                 raise NotSemisimpleError("gamma_t vanished")
             self._gamma[key] = cached
-        return cached
-
-    def gamma_prime(self, t):
-        key = (t.shape, t.rows)
-        cached = self._gamma_prime.get(key)
-        if cached is None:
-            gtt = self.g(t, t)
-            cached = self._diag_scalar(gtt, gtt * gtt)
-            if self.ctx.ring.is_zero(cached):
-                raise NotSemisimpleError("gamma'_t vanished")
-            self._gamma_prime[key] = cached
         return cached
 
     # -- the seminormal matrix representation ---------------------------------

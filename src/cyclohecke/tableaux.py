@@ -1,5 +1,5 @@
 r"""
-Multipartitions, standard tableaux, contents, residues and degrees.
+Multipartitions, standard tableaux, contents and residues.
 
 An $r$-multipartition of $n$ is a tuple of $r$ partitions with total size
 $n$, written as nested tuples.  Nodes are triples ``(l, a, c)`` (component,
@@ -9,9 +9,8 @@ larger, or equal with a larger row index.
 A standard tableau is stored as a tuple of components, each a tuple of rows
 of entries; entries increase along rows and columns and exhaust $1..n$.
 ``t_row(shape)`` fills rows left to right through the components in order;
-``t_col(shape)`` fills columns top to bottom through the components in
-reverse order.  Every standard tableau ``t`` satisfies
-``t_row(shape) >= t >= t_col(shape)`` in the dominance order.
+every standard tableau ``t`` satisfies ``t <= t_row(shape)`` in the
+dominance order.
 
 Contents are $\xi^{c-a} Q_l$ for the node $(l,a,c)$; residues are
 $\kappa_l + c - a$ modulo $e$ (plain integers when $e = 0$).
@@ -47,12 +46,6 @@ def compositions(n):
             yield (first,) + rest
 
 
-def conjugate_partition(lam):
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= k) for k in range(1, lam[0] + 1))
-
-
 def enumerate_multipartitions(r, n):
     """All r-multipartitions of n, in a fixed deterministic order."""
     if r < 1 or n < 0:
@@ -73,10 +66,6 @@ def _multipartitions(r, n):
 
 def multipartition_size(lam):
     return sum(sum(c) for c in lam)
-
-
-def conjugate_multipartition(lam):
-    return tuple(conjugate_partition(c) for c in reversed(lam))
 
 
 def dominance_leq(mu, lam):
@@ -110,16 +99,6 @@ def nodes(lam):
 def node_below(x, y):
     """x strictly below y: larger component, or same component and larger row."""
     return x[0] > y[0] or (x[0] == y[0] and x[1] > y[1])
-
-
-def addable_nodes(lam):
-    out = []
-    for l, comp in enumerate(lam, start=1):
-        for a in range(1, len(comp) + 2):
-            c = (comp[a - 1] + 1) if a <= len(comp) else 1
-            if a == 1 or c <= comp[a - 2]:
-                out.append((l, a, c))
-    return out
 
 
 def removable_nodes(lam):
@@ -201,21 +180,6 @@ def t_row(shape):
     return _tableau_from_entries(shape, assign)
 
 
-def t_col(shape):
-    """Column-reading tableau: fill columns of the last component first."""
-    assign = {}
-    k = 1
-    for l in range(len(shape), 0, -1):
-        comp = shape[l - 1]
-        width = comp[0] if comp else 0
-        conj = conjugate_partition(comp)
-        for c in range(1, width + 1):
-            for a in range(1, conj[c - 1] + 1):
-                assign[(l, a, c)] = k
-                k += 1
-    return _tableau_from_entries(shape, assign)
-
-
 def standard_tableaux(shape):
     """All standard tableaux of the given shape, deterministic order."""
     # partial fillings (remaining shape, {node: entry}), peeling entries n..1
@@ -232,16 +196,6 @@ def standard_tableaux(shape):
 def d_perm(t):
     """The permutation with t = t_row(shape) . d(t), acting on entries."""
     base = t_row(t.shape)
-    n = t.size
-    img = [0] * n
-    for nd in nodes(t.shape):
-        img[base.entry(nd) - 1] = t.entry(nd)
-    return tuple(img)
-
-
-def d_perm_col(t):
-    """The permutation with t_col(shape) . d'(t) = t."""
-    base = t_col(t.shape)
     n = t.size
     img = [0] * n
     for nd in nodes(t.shape):
@@ -270,7 +224,7 @@ def pair_dominance_lt(uv, st):
     return dominance_leq(s.shape, u.shape)
 
 
-# -- contents, residues, degrees ---------------------------------------------
+# -- contents and residues ---------------------------------------------------
 
 def content(t, k, xi, Q):
     """xi^{c-a} Q_l for the node of entry k."""
@@ -306,40 +260,3 @@ def residue(t, k, e, kappa):
 
 def residue_sequence(t, e, kappa):
     return tuple(residue(t, k, e, kappa) for k in range(1, t.size + 1))
-
-
-def degree_da(shape, node, e, kappa):
-    """# addable i-nodes strictly below minus # removable i-nodes strictly
-    below, where i is the residue of the given (addable or removable) node."""
-    i = node_residue(node, e, kappa)
-    add = sum(
-        1 for nd in addable_nodes(shape)
-        if node_below(nd, node) and node_residue(nd, e, kappa) == i
-    )
-    rem = sum(
-        1 for nd in removable_nodes(shape)
-        if node_below(nd, node) and node_residue(nd, e, kappa) == i
-    )
-    return add - rem
-
-
-def tableau_degree(t, e, kappa):
-    """deg t, by peeling the largest entry."""
-    deg = 0
-    cur = t
-    for m in range(t.size, 0, -1):
-        node = cur.node_of(m)
-        below = cur.restrict(m - 1)
-        deg += degree_da(below.shape, node, e, kappa)
-        cur = below
-    return deg
-
-
-def y_exponents(shape, e, kappa):
-    """The exponents (d_1..d_n) attached to the row-reading tableau."""
-    t = t_row(shape)
-    out = []
-    for m in range(1, multipartition_size(shape) + 1):
-        node = t.node_of(m)
-        out.append(degree_da(t.restrict(m).shape, node, e, kappa))
-    return tuple(out)

@@ -61,7 +61,8 @@ def test_center_and_cocenter_dimensions(r, n, xi, qs, classes):
     assert zbasis.contains(ctx.one().terms)
     x = ctx.generator(0) * ctx.generator(1)
     assert comm.contains((x * x - x * x).terms)
-    assert comm.contains(x.commutator(ctx.generator(1)).terms)
+    gen = ctx.generator(1)
+    assert comm.contains((x * gen - gen * x).terms)
 
 
 @pytest.mark.parametrize("make", [spec_context, fraction_context])
@@ -70,7 +71,8 @@ def test_index_commutator_matches_hecke_commutators(make):
     for token in range(ctx.params.n):
         gen = ctx.generator(token)
         for idx in ctx.basis_indices():
-            want = ctx.from_index(idx).commutator(gen).terms
+            elt = ctx.from_index(idx)
+            want = (elt * gen - gen * elt).terms
             assert _index_commutator(ctx, idx, token) == want
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -200,9 +201,27 @@ def test_usage_errors_exit_2():
               '[{"c":[5],"w":[1,2],"coeff":"1"}]',
               '[{"c":[0,1],"w":[2,2],"coeff":"1"}]',
               '[{"c":[0,1],"w":[1,2]}]',
-              '{"c":[0,1],"w":[1,2],"coeff":"1"}'):
+              '{"c":[0,1],"w":[1,2],"coeff":"1"}',
+              '[{"c":[0,1],"w":[1,2],"coeff":"1/0"}]'):
         code, out, err = run_cli(mult + [x])
         assert code == 2 and not out and "Traceback" not in err
+    code, out, err = run_cli(
+        ["hecke", "mult", "--r", "2", "--n", "2", "--ring", "fraction",
+         "--y-word", "t s1", "--x", '[{"c":[0,1],"w":[1,2],"coeff":"(1)/(0)"}]'])
+    assert code == 2 and not out
+    assert "zero denominator" in err and "internal inconsistency" not in err
+    # the symbolic rings take no specialization
+    for ring in ("laurent", "fraction"):
+        code, out, err = run_cli(["hecke", "center", "--r", "1", "--n", "2",
+                                  "--ring", ring, "--spec", "xi=2,Q=5"])
+        assert code == 2 and not out and "--spec" in err
+
+
+def test_cyclotomic_spec_reduces_negative_exponents():
+    code, rep = run_json(["hecke", "center", "--r", "1", "--n", "2",
+                          "--ring", "cyclo:3", "--spec", "xi=z^-1,Q=1"])
+    assert code == 0
+    assert rep["result"]["context"]["xi"] == "-1*z + -1"
 
 
 def test_klr_weight_errors_exit_2():
@@ -247,3 +266,47 @@ def test_table_format():
     assert code == 0
     assert out.startswith("command: group classes")
     assert "[PASS]" in out
+
+
+# sha256 of each report's stdout; a change that alters one of these reports
+# on purpose updates its digest and says why in CHANGES.md
+RECORDED_DIGESTS = [
+    (["group", "classes", "--r", "2", "--n", "3"],
+     "f01ce7646eb7f5c5a7eec2761cd88ba1a74d35402c4cde80b3ebad18aeecc70c"),
+    (["group", "reduce", "--r", "2", "--n", "3", "--word", "s2 s1 t s1 s2 t",
+      "--canonical"],
+     "67ab8f37b48a23801aa36eb9d44364e5ba7b7a3520bae2d6d3085260bda5b93b"),
+    (["hecke", "mult", "--r", "3", "--n", "3", "--ring", "fraction",
+      "--x-word", "t s1 t s2", "--y-word", "s2 t s1 t"],
+     "13d6b859ec3d3f92102279c92540baccc49e0754ad97ead9a56852ab6b79116d"),
+    (["hecke", "class-polys", "--r", "2", "--n", "2", "--ring", "fraction"],
+     "4792a3447aee8b0c23a6b979d929d72f613b8bd6ce290e3b30ff4908e6adb34f"),
+    (["hecke", "dual-class-polys", "--r", "2", "--n", "3",
+      "--spec", "xi=2,Q=1,100"],
+     "8d9414fd794e1154c1a9ea2040957d9f7153d36b2c14c5dbbd46b01c024fc43c"),
+    (["hecke", "center", "--r", "2", "--n", "3", "--spec", "xi=-1,Q=1,-1",
+      "--check-symmetric-jm"],
+     "e29cd18a963c7eccf1ecd1221ee28031fb7abe4de1181a84a94527132c944e78"),
+    (["hecke", "cocenter-rank", "--r", "2", "--n", "3",
+      "--spec", "xi=-1,Q=1,-1"],
+     "5d843b4aff462e41e0e03dc111da5bafd2fa70cc2df9fcc32caf8ac235f178d0"),
+    (["hecke", "seminormal", "--r", "2", "--n", "2", "--ring", "fraction"],
+     "87640916387721e536588dbb6f47f955a4f63936ce889735110aaf21e844d866"),
+    (["hecke", "seminormal", "--r", "2", "--n", "3", "--spec", "xi=2,Q=1,100",
+      "--format", "csv"],
+     "35c1cb33c4c1aaef7008e3a2b77a403123a7d5268d844112810ea74624273cb3"),
+    (["klr", "blocks", "--r", "2", "--n", "2", "--e", "2", "--kappa", "0,1",
+      "--spec", "xi=-1,Q=1,-1"],
+     "2bf01f7f6b47536ee454eacf213932f6fb822b16f37f8788376a4ad2ad39e37f"),
+    (["selftest", "--level", "quick"],
+     "5e2ec2e5743a9b227fe779d8110e680d03ba5a66294886c10001dfdd16f56db4"),
+]
+
+
+def test_reports_keep_recorded_digests():
+    changed = []
+    for argv, digest in RECORDED_DIGESTS:
+        code, out, err = run_cli(argv)
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append((" ".join(argv), code, err))
+    assert not changed

@@ -13,7 +13,6 @@ from cyclohecke.group import (
     coxeter_word,
     enumerate_group,
     length,
-    perm_inversions,
     reduced_words,
 )
 from cyclohecke.hecke import (
@@ -23,7 +22,6 @@ from cyclohecke.hecke import (
     jm_polynomial,
     m_basis,
     m_tt,
-    n_tt,
     t_element,
     t_perm,
     word_product,
@@ -259,17 +257,6 @@ def test_m_tt_examples():
     for p in itertools.permutations((1, 2, 3)):
         total = total + t_perm(ctx, p)
     assert m_tt(ctx, ((3,),)) == total
-    # n_tt at the column shape: alternating sum
-    expected = ctx.zero()
-    for p in itertools.permutations((1, 2, 3)):
-        ln = perm_inversions(p)
-        coeff = ctx.ring.one()
-        for _ in range(ln):
-            coeff = coeff * ctx.xi_inv
-        if ln % 2:
-            coeff = -coeff
-        expected = expected + t_perm(ctx, p).scale(coeff)
-    assert n_tt(ctx, ((1, 1, 1),)) == expected
 
 
 def test_m_basis_star_symmetry(ctx22_sym):

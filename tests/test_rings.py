@@ -274,6 +274,14 @@ def test_serialization_round_trip(kind, values):
         assert ring.parse(ring.format(v)) == v
 
 
+@pytest.mark.parametrize("e", [3, 4])
+def test_cyclotomic_parse_reduces_every_exponent(e):
+    ring, zeta = RingSpec.cyclotomic(e), Cyc.zeta(e)
+    for c in (1, -1, 2, Fraction(-3, 5)):
+        for k in range(-2 * e, 2 * e + 1):
+            assert ring.parse(f"{c}*z^{k}") == c * zeta ** k, (c, k)
+
+
 def test_fraction_serialization_round_trip():
     F = RingSpec.fraction(1)
     xi, q1 = F.xi(), F.q(1)

@@ -143,21 +143,6 @@ def test_tau_of_f(snd22, snd13):
                         assert ctx.ring.is_zero(val)
 
 
-def test_g_proportional_to_f(snd22):
-    ctx = snd22.ctx
-    for shape in snd22.shapes:
-        for s in snd22.std[shape]:
-            for t in snd22.std[shape]:
-                f = snd22.f(s, t)
-                g = snd22.g(s, t)
-                idx = next(iter(f.terms))
-                alpha = ctx.ring.div(g.terms.get(idx, ctx.ring.zero()),
-                                     f.terms[idx])
-                assert not ctx.ring.is_zero(alpha)
-                assert g == f.scale(alpha)
-            assert not ctx.ring.is_zero(snd22.gamma_prime(s))
-
-
 def test_central_idempotents(snd22):
     ctx = snd22.ctx
     total = ctx.zero()

@@ -5,25 +5,18 @@ import pytest
 
 from cyclohecke.group import GroupParams, perm_identity
 from cyclohecke.tableaux import (
-    addable_nodes,
     compositions,
-    conjugate_multipartition,
     content,
     content_vector,
     d_perm,
-    d_perm_col,
-    degree_da,
     dominance_leq,
     enumerate_multipartitions,
     multipartition_size,
     removable_nodes,
     residue_sequence,
     standard_tableaux,
-    t_col,
     t_row,
-    tableau_degree,
     tableau_dominance_leq,
-    y_exponents,
 )
 
 
@@ -40,29 +33,13 @@ def test_dominance_chain():
     assert not dominance_leq(a, b) and not dominance_leq(b, c)
 
 
-def test_conjugate():
-    assert conjugate_multipartition(((2,), (1,))) == ((1,), (1, 1))
-    mps = enumerate_multipartitions(2, 3)
-    for lam in mps:
-        assert conjugate_multipartition(conjugate_multipartition(lam)) == lam
-        for mu in mps:
-            if dominance_leq(mu, lam):
-                assert dominance_leq(conjugate_multipartition(lam),
-                                     conjugate_multipartition(mu))
-
-
 def test_row_and_column_tableaux():
     shape = ((2, 1, 1), (1, 1), (2, 1))
     tr = t_row(shape)
     assert tr.rows == (((1, 2), (3,), (4,)), ((5,), (6,)), ((7, 8), (9,)))
-    tc = t_col(shape)
-    # columns of the last component are filled first
-    assert tc.entry((3, 1, 1)) == 1 and tc.entry((3, 2, 1)) == 2
     assert d_perm(tr) == perm_identity(9)
-    assert d_perm_col(tc) == perm_identity(9)
     for t in standard_tableaux(((2, 1),)):
         assert tableau_dominance_leq(t, t_row(((2, 1),)))
-        assert tableau_dominance_leq(t_col(((2, 1),)), t)
 
 
 def test_d_perm_reconstructs():
@@ -121,23 +98,9 @@ def test_residues():
             assert all(xi ** r == c for r, c in zip(rs, cv))
 
 
-def test_degrees():
-    assert tableau_degree(t_row(((),)), 2, (0,)) == 0
-    assert degree_da(((1,),), (1, 1, 1), 2, (0,)) == 0
-    for n in range(1, 5):
-        for shape in enumerate_multipartitions(1, n):
-            assert all(d >= 0 for d in y_exponents(shape, 2, (0,)))
-    # worked values at e=2: the row shape carries the positive degree
-    assert tableau_degree(t_row(((2,),)), 2, (0,)) == 1
-    assert tableau_degree(t_row(((1, 1),)), 2, (0,)) == 0
-
-
 def test_node_sets():
     shape = ((2, 1), (1,))
     assert set(removable_nodes(shape)) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
-    assert (1, 1, 3) in addable_nodes(shape)
-    assert (1, 3, 1) in addable_nodes(shape)
-    assert (2, 2, 1) in addable_nodes(shape)
 
 
 def test_compositions():
