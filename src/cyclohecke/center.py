@@ -5,7 +5,9 @@ The commutator subspace [H, H] is spanned by the commutators of basis
 elements with the generators: the identity [a, xy] = [ax, y] + [ya, x]
 reduces arbitrary commutators to generator commutators.  Over any of the
 supported coefficient fields its rank is dim H - #classes and the center is
-the orthogonal statement: the nullspace of z T_g - T_g z over all g.
+the orthogonal statement: the nullspace of z T_g - T_g z over all g.  The
+nullspace solutions are 1 at their own free column and 0 at the others, so
+they are the center's echelon basis as they stand.
 
 Conjugacy classes of W_n are labelled by r-multipartitions; the stored
 representative of a class is the block product w_beta attached to the
@@ -32,7 +34,10 @@ pairings has tau(T_u z) = f_{u,C} for every u, because T_u - sum_D f_{u,D}
 T_{w_D} lies in [H, H] and tau([a, b] z) = 0 for central z.  So y_C is
 read off the center itself, by solving the #classes x #classes system of
 pairings tau(T_{w_D} z_j) against the nullspace basis z_j, with no tau-dual
-basis of H.  z_C = sum_w g_{w,C} (T_{w^{-1}})^vee is y_{beta_hat(C)}.
+basis of H.  Each class's form tau(T_{w_D} .) is built once, as a vector on
+the basis indices, by transposed left generator actions along the word of
+w_D; a pairing is then a dot product with z_j.
+z_C = sum_w g_{w,C} (T_{w^{-1}})^vee is y_{beta_hat(C)}.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .hecke import (
     _bump,
     _lmul_gen_index,
     _rmul_gen_index,
-    _terms_lmul,
     t_element,
 )
 from .linalg import Elimination, SubspaceBasis, nullspace
@@ -117,9 +121,8 @@ def center(ctx):
                 rows.setdefault((token, idx2), {})[idx] = coeff
     sols = nullspace(ctx.ring, list(rows.values()), columns)
     elements = [HeckeElement(ctx, vec) for vec in sols]
-    basis = SubspaceBasis(ctx.ring)
-    for vec in sols:
-        basis.add(vec)
+    basis = SubspaceBasis.from_echelon(
+        ctx.ring, {next(iter(vec)): vec for vec in sols})
     return elements, basis
 
 
@@ -264,17 +267,13 @@ def center_bases_yz(ctx, polys):
     element with tau(T_{w_D} y_C) = delta_{CD}, and z_C = y_{beta_hat(C)}.
     A singular pairing contradicts the cocenter theorem: ArithmeticError."""
     elements, _ = center(ctx)
-    ident, zero, one = ctx.identity_index(), ctx.ring.zero(), ctx.ring.one()
-    pairing = []          # row D: tau(T_{w_D} z_j), by left generator actions
+    zero, one = ctx.ring.zero(), ctx.ring.one()
+    pairing = []          # row D: tau(T_{w_D} z_j)
     for info in polys.classes:
-        word = bm_word(info.rep)
-        row = {}
-        for j, z in enumerate(elements):
-            terms = z.terms
-            for tok in reversed(word):
-                terms = _terms_lmul(ctx, tok, terms)
-            row[j] = terms.get(ident, zero)
-        pairing.append(row)
+        form = _tau_form(ctx, bm_word(info.rep))
+        pairing.append({j: sum((form[idx] * v for idx, v in z.terms.items()
+                                if idx in form), zero)
+                         for j, z in enumerate(elements)})
     elim = Elimination(ctx.ring, pairing)
     ys = {}
     for info in polys.classes:
@@ -283,6 +282,27 @@ def center_bases_yz(ctx, polys):
             ctx, ((z, sol[j]) for j, z in enumerate(elements)))
     zs = {label: ys[polys._beta_hat[label]] for label in ys}
     return ys, zs
+
+
+def _tau_form(ctx, word):
+    """The form u -> tau(T_{s_1} .. T_{s_k} u) for word = (s_1, .., s_k), as
+    {basis index: value}, built by transposed left generator actions: after
+    s_i, the form takes L^c T_w to the old form's value on T_{s_i} L^c T_w."""
+    ring = ctx.ring
+    indices = list(ctx.basis_indices())
+    form = {ctx.identity_index(): ring.one()}
+    for tok in word:
+        new = {}
+        for idx in indices:
+            value = ring.zero()
+            for idx2, coeff in _lmul_gen_index(ctx, tok, idx):
+                old = form.get(idx2)
+                if old is not None:
+                    value = value + coeff * old
+            if not ring.is_zero(value):
+                new[idx] = value
+        form = new
+    return form
 
 
 def _combination(ctx, pairs):

@@ -29,9 +29,21 @@ well defined because each defining relation reads the same reversed):
     x T_0 = (T_0 x^*)^*,        (L^c T_w)^* = T_{w^{-1}} L^c,
 
 using $\mathcal{L}_m^* = \mathcal{L}_m$ (its word is a palindrome) and
-that the $\mathcal{L}_m$ commute.  $T_{w^{-1}} L^c$ is built by left
-generator actions along the reduced word of $w$, so the right action of
-$T_0$ is a sequence of left actions and stays division-free.
+that the $\mathcal{L}_m$ commute.  Each index star is one left generator
+action on a shorter cached star: for a right descent $s$ of $w$,
+$T_w = T_{ws} T_s$, so
+
+    (L^c T_w)^* = T_s (L^c T_{ws})^*,
+
+and the right action of $T_0$ is a sequence of left actions and stays
+division-free.
+
+The generator actions on basis indices and the index stars are cached as
+tables over the straightening constants $1$, $\xi$, $\xi - 1$ and the
+signed $e_j(Q)$.  Over $\mathbb{Q}$ an integral constant is a Python
+``int``, so those tables (and the commutator vectors of the center module)
+are built in integer arithmetic; an element's coefficients stay
+``Fraction``s, because every use of a table multiplies it by one.
 
 A polynomial in one Jucys-Murphy element acts through :func:`jm_polynomial`:
 Horner's rule with $\mathcal{L}_m$ applied as $2m-1$ left generator actions.
@@ -54,7 +66,7 @@ from .group import (
     perm_identity,
     perm_transposition,
 )
-from .rings import elementary_symmetric, invert_unit
+from .rings import RATIONAL_KINDS, elementary_symmetric, invert_unit
 
 
 class HeckeError(ValueError):
@@ -80,12 +92,16 @@ class AlgebraContext:
         self.xi = xi
         self.qs = qs
         self.xi_inv = invert_unit(xi)
-        self.xi_m1 = xi - ring.one()
-        # signed elementary symmetric functions for the cyclotomic reduction
-        self.cyc_coeffs = [
-            (elementary_symmetric(list(qs), j, ring.one()), (-1) ** (j - 1))
-            for j in range(1, params.r + 1)
-        ]
+        # the straightening constants, held as the tables hold them; the
+        # signed elementary symmetric functions drive the cyclotomic reduction
+        one = ring.one()
+        self.t_one = _table_constant(ring, one)
+        self.t_xi = _table_constant(ring, xi)
+        self.xi_m1 = _table_constant(ring, xi - one)
+        self.cyc_coeffs = []
+        for j in range(1, params.r + 1):
+            ej = elementary_symmetric(list(qs), j, one)
+            self.cyc_coeffs.append(_table_constant(ring, ej if j % 2 else -ej))
         self._rmul = {}
         self._lmul = {}
         # terms dicts, not HeckeElements: an element refers back to its
@@ -150,6 +166,14 @@ class AlgebraContext:
         return [self.jm(m) for m in range(1, self.params.n + 1)]
 
 
+def _table_constant(ring, value):
+    """A straightening constant as the tables hold it: over Q an int when
+    it is integral, else the ring value itself."""
+    if ring.kind in RATIONAL_KINDS and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 # -- index-level straightening ------------------------------------------------
 
 def _lmul_t0_index(ctx, idx):
@@ -157,12 +181,9 @@ def _lmul_t0_index(ctx, idx):
     c, w = idx
     r = ctx.params.r
     if c[0] + 1 < r:
-        return (((ctx.ring.one()), ((c[0] + 1,) + c[1:], w)),)
-    out = []
-    for j, (ej, sign) in enumerate(ctx.cyc_coeffs, start=1):
-        coeff = ej if sign > 0 else -ej
-        out.append((coeff, ((r - j,) + c[1:], w)))
-    return tuple(out)
+        return ((ctx.t_one, ((c[0] + 1,) + c[1:], w)),)
+    return tuple((coeff, ((r - j,) + c[1:], w))
+                 for j, coeff in enumerate(ctx.cyc_coeffs, start=1))
 
 
 def _left_coxeter(ctx, i, w):
@@ -172,8 +193,8 @@ def _left_coxeter(ctx, i, w):
     wi = w.index(i)
     wi1 = w.index(i + 1)
     if wi < wi1:
-        return ((ctx.ring.one(), sw),)
-    return ((ctx.xi_m1, w), (ctx.xi, sw))
+        return ((ctx.t_one, sw),)
+    return ((ctx.xi_m1, w), (ctx.t_xi, sw))
 
 
 def _lmul_ti_index(ctx, i, idx):
@@ -204,8 +225,8 @@ def _rmul_ti_index(ctx, idx, i):
     c, w = idx
     ws = perm_compose(w, perm_transposition(ctx.params.n, i))
     if w[i - 1] < w[i]:
-        return ((ctx.ring.one(), (c, ws)),)
-    return ((ctx.xi_m1, (c, w)), (ctx.xi, (c, ws)))
+        return ((ctx.t_one, (c, ws)),)
+    return ((ctx.xi_m1, (c, w)), (ctx.t_xi, (c, ws)))
 
 
 def _bump(ctx, terms, idx, coeff):
@@ -238,13 +259,18 @@ def jm_polynomial(ctx, m, poly, elt):
 
 
 def _star_index(ctx, idx):
-    """(L^c T_w)^* = T_{w^-1} L^c as a terms dict."""
+    """(L^c T_w)^* = T_{w^-1} L^c as a terms dict, with table coefficients.
+    For a right descent s of w, T_w = T_{ws} T_s, so (L^c T_w)^* =
+    T_s (L^c T_{ws})^*: one left action on a shorter cached star."""
     cached = ctx._star.get(idx)
     if cached is None:
         c, w = idx
-        cached = {(c, perm_identity(ctx.params.n)): ctx.ring.one()}
-        for tok in coxeter_word(w):
-            cached = _terms_lmul(ctx, tok, cached)
+        s = next((i for i in range(1, len(w)) if w[i - 1] > w[i]), None)
+        if s is None:
+            cached = {idx: ctx.t_one}
+        else:
+            ws = perm_compose(w, perm_transposition(ctx.params.n, s))
+            cached = _terms_lmul(ctx, s, _star_index(ctx, (c, ws)))
         ctx._star[idx] = cached
     return cached
 

@@ -9,18 +9,22 @@ the pivots the vector itself carries: clearing one pivot never changes the
 vector at another.
 
 Over Q (the ``rational`` and ``rational-specialization`` kinds) a stored row
-is a primitive integer vector with a positive pivot.  A vector is cleared to
-integers with the lcm of its denominators and reduced by the cross-multiplied
-update ``v = a v - c row``, ``(a, c) = (row[p], v[p]) / gcd``, so the loop
-builds no ``Fraction``; ``add`` divides each new and back-substituted row by
-its content.  Over the other fields a stored row is scaled to 1 at its pivot
+is a primitive integer vector with a positive pivot.  An input vector may
+mix ``int`` and ``Fraction`` entries (the commutator vectors are built from
+integer straightening tables); it is cleared to integers with the lcm of
+its denominators and reduced by the cross-multiplied update
+``v = a v - c row``, ``(a, c) = (row[p], v[p]) / gcd``, so the loop builds
+no ``Fraction``; ``add`` divides each new and back-substituted row by its
+content.  Over the other fields a stored row is scaled to 1 at its pivot
 and the update is ``v -= v[p] row``.  Either way ``rows`` shows rows that are
 1 at their pivot, and ``reduce`` returns the exact remainder.  Pivots prefer
 entries with few terms, which limits expression swell in the function-field
 cases; over Q every entry has the same size, so the smallest column wins.
 
 Everything else reads a ``SubspaceBasis``: ``nullspace`` takes the free
-columns of the row space, ``Elimination`` records each row operation of the
+columns of the row space, and its solutions, each 1 at its own free column
+and 0 at the others, are a basis in stored form for ``from_echelon``, with
+nothing left to eliminate.  ``Elimination`` records each row operation of the
 echelon build so that a right-hand side costs only a replay, and ``solve``
 and ``invert_matrix`` are replays of an ``Elimination``.  ``Elimination``
 keeps field rows over every ring: its recorded multipliers are replayed on
@@ -34,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import not_
 
-_RATIONAL_KINDS = ("rational", "rational-specialization")
+from .rings import RATIONAL_KINDS
 
 
 class SubspaceBasis:
@@ -42,9 +46,26 @@ class SubspaceBasis:
 
     def __init__(self, ring):
         self.ring = ring
-        self._integral = ring.kind in _RATIONAL_KINDS
+        self._integral = ring.kind in RATIONAL_KINDS
         self._rows = {}       # pivot column -> stored row, 0 at other pivots
         self._fractions = None
+
+    @classmethod
+    def from_echelon(cls, ring, rows):
+        """The basis whose rows are ``rows``, {pivot column: row}, each row 1
+        at its pivot and 0 at every other pivot, as the ``nullspace``
+        solutions are when keyed by their free columns: nothing is
+        eliminated.  Over Q a row is stored times the lcm of its
+        denominators, which is primitive with that lcm as its pivot."""
+        basis = cls(ring)
+        for pivot, row in rows.items():
+            if basis._integral:
+                scale = lcm(*(v.denominator for v in row.values()))
+                basis._rows[pivot] = {c: v.numerator * (scale // v.denominator)
+                                      for c, v in row.items()}
+            else:
+                basis._rows[pivot] = dict(row)
+        return basis
 
     @property
     def rank(self):
@@ -162,7 +183,10 @@ def span(ring, vectors):
 
 def nullspace(ring, rows, columns):
     """Nullspace of the matrix given as a list of sparse rows over the given
-    column labels: one solution vector per free column of the row space."""
+    column labels: one solution vector per free column of the row space, in
+    column order.  Each solution is 1 at its own free column, its first key,
+    and 0 at every other free column, so the solutions keyed by their free
+    columns are already a ``SubspaceBasis.from_echelon`` basis."""
     pivots = span(ring, rows).rows
     sols = []
     for fc in columns:

@@ -48,6 +48,10 @@ from functools import lru_cache
 from operator import add, neg, sub
 
 
+# the two kinds whose values are Fractions
+RATIONAL_KINDS = ("rational", "rational-specialization")
+
+
 class CoefficientError(TypeError):
     """Mixed-ring operands or other coefficient misuse."""
 
@@ -782,7 +786,7 @@ class RingSpec:
         return self.from_int(1)
 
     def from_int(self, k):
-        if self.kind in ("rational", "rational-specialization"):
+        if self.kind in RATIONAL_KINDS:
             return Fraction(k)
         if self.kind == "cyclotomic":
             return Cyc.from_rational(self.e, k)
@@ -830,8 +834,14 @@ class RingSpec:
         return value
 
     def is_zero(self, value):
-        if isinstance(value, Fraction):
+        """Zero test for a ring value, or over Q for an ``int``: the
+        straightening tables keep their integral constants as ints.  The
+        tests are on the exact type: ``isinstance`` against ``Fraction``
+        goes through the ``numbers`` ABC for every other type."""
+        if type(value) is Fraction:
             return value == 0
+        if type(value) is int:
+            return not value
         return value.is_zero()
 
     def div(self, a, b):
@@ -863,7 +873,7 @@ class RingSpec:
 
     def parse(self, text):
         text = text.strip()
-        if self.kind in ("rational", "rational-specialization"):
+        if self.kind in RATIONAL_KINDS:
             return Fraction(text)
         if self.kind == "cyclotomic":
             return _parse_cyc(self.e, text)

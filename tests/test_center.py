@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from cyclohecke.group import (
     gen_element,
     length,
 )
-from cyclohecke.hecke import t_element
+from cyclohecke.hecke import AlgebraContext, HeckeElement, jm_polynomial, t_element
 from cyclohecke.linalg import SubspaceBasis, invert_matrix, nullspace, solve, span
 from cyclohecke.rings import RingSpec
 from cyclohecke.seminormal import SeminormalData
@@ -65,7 +66,14 @@ def test_center_and_cocenter_dimensions(r, n, xi, qs, classes):
     assert comm.contains((x * gen - gen * x).terms)
 
 
-@pytest.mark.parametrize("make", [spec_context, fraction_context])
+def _half_third_context(r, n):
+    """A rational point where xi and Q_1 are not integers, so the
+    straightening tables mix ints and Fractions."""
+    return spec_context(r, n, Fraction(1, 2), [Fraction(1, 3), Fraction(2)][:r])
+
+
+@pytest.mark.parametrize("make", [spec_context, fraction_context, _half_third_context],
+                         ids=["spec_context", "fraction_context", "half_third_context"])
 def test_index_commutator_matches_hecke_commutators(make):
     ctx = make(2, 2)
     for token in range(ctx.params.n):
@@ -74,6 +82,38 @@ def test_index_commutator_matches_hecke_commutators(make):
             elt = ctx.from_index(idx)
             want = (elt * gen - gen * elt).terms
             assert _index_commutator(ctx, idx, token) == want
+
+
+@pytest.mark.parametrize("kind", ["rational", "rational-specialization"])
+@pytest.mark.parametrize("xi,qs", [
+    (Fraction(2), (Fraction(1), Fraction(100))),
+    (Fraction(1, 2), (Fraction(1, 3), Fraction(2))),
+], ids=["integral", "half-third"])
+def test_every_element_coefficient_is_a_ring_value(kind, xi, qs):
+    # the straightening tables hold ints over Q; no int may reach an element
+    ring = RingSpec.rational() if kind == "rational" else RingSpec.specialized(xi, qs)
+    ctx = AlgebraContext(GroupParams(2, 3), ring, xi, qs)
+
+    def check(elt):
+        assert all(ring.contains(v) for v in elt.terms.values()), elt
+
+    gens = [ctx.generator(t) for t in range(ctx.params.n)]
+    for w in enumerate_group(ctx.params):
+        check(t_element(ctx, w))
+        check(t_element(ctx, w).star())
+    for a in gens:
+        check(a.star())
+        for b in gens:
+            check(a * b)
+            check(a.rmul_gen(1) * b)
+    for m in range(1, ctx.params.n + 1):
+        check(ctx.jm(m))
+        check(jm_polynomial(ctx, m, [ring.one(), ring.from_int(-3), xi], gens[1]))
+    for z in center(ctx)[0]:
+        check(z)
+    ys, zs = center_bases_yz(ctx, ClassPolynomials(ctx))
+    for elt in list(ys.values()) + list(zs.values()):
+        check(elt)
 
 
 def _generator_order_reference(ctx):
@@ -112,6 +152,40 @@ def test_token_order_over_the_fraction_field_keeps_the_span():
     elements, zbasis = center(ctx)
     assert zbasis.rank == len(sols) == 9
     assert spans_equal(zbasis, span(ctx.ring, sols))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spec_context(2, 3),
+    lambda: spec_context(2, 4, Fraction(-1), [Fraction(1), Fraction(-1)]),
+    lambda: fraction_context(3, 2),
+    lambda: context_for_weight(2, 3, 3, (0, 1)),
+], ids=["2-3-xi2", "2-4-xi-1", "3-2-fraction", "2-3-cyclo3"])
+def test_center_basis_is_an_echelon_basis_of_the_center(make):
+    ctx = make()
+    ring = ctx.ring
+    elements, zbasis = center(ctx)
+    built = span(ring, [z.terms for z in elements])
+    stored = zbasis._rows
+    assert zbasis.rank == built.rank == len(elements)
+    for pivot, row in stored.items():
+        assert all(other == pivot or other not in row for other in stored)
+        if ring.kind == "rational-specialization":
+            assert all(type(v) is int for v in row.values())
+            assert row[pivot] > 0
+            assert math.gcd(*row.values()) == 1
+        else:
+            assert row[pivot] == ring.one()
+    for pivot, row in zbasis.rows.items():
+        assert row[pivot] == ring.one()
+    assert spans_equal(zbasis, built)
+    for z in elements:
+        assert zbasis.contains(z.terms) and built.contains(z.terms)
+    for elt in [ctx.generator(t) + elements[0] for t in range(ctx.params.n)]:
+        assert not zbasis.contains(elt.terms) and not built.contains(elt.terms)
+        # the remainder differs from elt by a nonzero central element
+        part = elt - HeckeElement(ctx, zbasis.reduce(elt.terms))
+        assert not part.is_zero() and built.contains(part.terms)
+    assert zbasis.contains((elements[0].scale(ring.from_int(3)) - elements[-1]).terms)
 
 
 def test_center_commutator_tau_duality():

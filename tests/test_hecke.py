@@ -19,6 +19,8 @@ from cyclohecke.hecke import (
     HeckeElement,
     HeckeError,
     _rmul_gen_index,
+    _star_index,
+    _terms_lmul,
     jm_polynomial,
     m_basis,
     m_tt,
@@ -114,6 +116,27 @@ def test_star(ctx22_sym):
         a = ctx.from_index(rng.choice(idxs))
         b = ctx.from_index(rng.choice(idxs))
         assert (a * b).star() == b.star() * a.star()
+
+
+@pytest.mark.parametrize("make_ctx", [
+    lambda: spec_context(2, 3),
+    lambda: spec_context(3, 3),
+    lambda: spec_context(1, 4),
+    lambda: laurent_context(2, 2),
+    lambda: fraction_context(2, 2),
+], ids=["2-3", "3-3", "1-4", "2-2-laurent", "2-2-fraction"])
+def test_star_recursion_matches_the_word_definition(make_ctx):
+    # the definition: (L^c T_w)^* = T_{w^-1} L^c, the letters of a reduced
+    # word of w applied to L^c as left actions, first letter first
+    ctx = make_ctx()
+    for idx in ctx.basis_indices():
+        c, w = idx
+        want = {(c, tuple(range(1, ctx.params.n + 1))): ctx.ring.one()}
+        for tok in coxeter_word(w):
+            want = _terms_lmul(ctx, tok, want)
+        assert _star_index(ctx, idx) == want, idx
+        x = ctx.from_index(idx)
+        assert x.star().star() == x
 
 
 def _seminormal_rho(sd, shape, idx):
