@@ -13,10 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .group import (
     GroupParams,
     bm_normal_form,
+    bm_word,
     conjugacy_invariant,
     enumerate_classes,
     enumerate_group,
@@ -25,7 +27,7 @@ from .group import (
     length,
     phi_bijection_full,
 )
-from .hecke import AlgebraContext, t_element
+from .hecke import AlgebraContext, HeckeElement, t_element, word_product
 from .rings import RingSpec
 from .tableaux import enumerate_multipartitions
 
@@ -162,8 +164,11 @@ def _relation_checks(ctx, tag, rng, trials):
         for j in range(i + 2, n):
             ok = ok and T[i] * T[j] == T[j] * T[i]
     checks.append(Check(f"{tag} braid and commutation relations", ok))
-    jms = ctx.jm_all()
-    ok = all((jms[a] * jms[b] == jms[b] * jms[a])
+    # by the palindromic words, so that products do not check the exponent
+    # rule for L_m with itself
+    pals = [tuple(range(m - 1, 0, -1)) + tuple(range(m)) for m in range(1, n + 1)]
+    ok = all(word_product(ctx, pals[a] + pals[b]) ==
+             word_product(ctx, pals[b] + pals[a])
              for a in range(n) for b in range(a + 1, n))
     checks.append(Check(f"{tag} Jucys-Murphy elements commute", ok))
     idxs = list(ctx.basis_indices())
@@ -362,24 +367,25 @@ def criterion_class_polynomials(level="full"):
     return checks
 
 
-# the product duality costs #classes^2 full products: on 2 cores 2.8 s at
-# (2,4) and 5.1 s at (3,3), against 0.04 s at (2,3)
-_DUALITY_BY_PRODUCTS_MAX_DIM = 48
+# the recheck makes #classes^2 walks: on 2 cores 1.4-1.7 s CPU at (2,4)
+# and 0.8-1.1 s at (3,3), against 0.03-0.04 s at (2,3)
+_DUALITY_RECHECK_MAX_DIM = 48
 
 
 def _central_bases_check(ctx, polys, name):
     """The y_C are central and span a space of dimension #classes; z_C is
     the same family relabelled.  Up to dimension 48 the duality
-    tau(y_C T_{w_D}) = delta_{CD} is recomputed by full products, a route
-    independent of the left generator actions that built the y_C."""
+    tau(y_C T_{w_D}) = delta_{CD} is recomputed by walking y_C to the right
+    along the word of w_D, a route independent of the left generator
+    actions that built the y_C."""
     from .center import center_bases_yz, is_central
     from .linalg import span
     ys, _ = center_bases_yz(ctx, polys)
     ok = all(is_central(ctx, y) for y in ys.values()) and \
         span(ctx.ring, [y.terms for y in ys.values()]).rank == len(ys)
-    if ok and ctx.dimension <= _DUALITY_BY_PRODUCTS_MAX_DIM:
+    if ok and ctx.dimension <= _DUALITY_RECHECK_MAX_DIM:
         one, zero = ctx.ring.one(), ctx.ring.zero()
-        ok = all((ys[c.label] * t_element(ctx, d.rep)).tau() ==
+        ok = all(reduce(HeckeElement.rmul_gen, bm_word(d.rep), ys[c.label]).tau() ==
                  (one if c is d else zero)
                  for c in polys.classes for d in polys.classes)
     return Check(name, ok)

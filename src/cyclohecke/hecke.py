@@ -45,8 +45,14 @@ signed $e_j(Q)$.  Over $\mathbb{Q}$ an integral constant is a Python
 are built in integer arithmetic; an element's coefficients stay
 ``Fraction``s, because every use of a table multiplies it by one.
 
-A polynomial in one Jucys-Murphy element acts through :func:`jm_polynomial`:
-Horner's rule with $\mathcal{L}_m$ applied as $2m-1$ left generator actions.
+The left action of $\mathcal{L}_m$ is in the same table, as token $-m$:
+the $\mathcal{L}_k$ commute, so $\mathcal{L}_m \mathcal{L}^c T_w =
+\mathcal{L}^{c + e_m} T_w$ while $c_m + 1 < r$, and only at $c_m = r - 1$
+(always when $r = 1$) is it the palindromic word, $2m - 1$ generator
+actions.  A product walks each term $\mathcal{L}^c T_w$ of the left factor
+over the right factor by left actions, the letters of $T_w$ from the right,
+then each $\mathcal{L}_m$; a right factor with fewer terms is walked as
+$ab = (b^* a^*)^*$.  :func:`jm_polynomial` is Horner's rule on the action.
 
 A second basis $\{T_w : w \in W_n\}$, one fixed reduced word per group
 element, is available through :func:`t_element`; two reduced words of the
@@ -109,7 +115,6 @@ class AlgebraContext:
         # the next full garbage collection
         self._star = {}
         self._t_cache = {}
-        self._jm_cache = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -153,14 +158,7 @@ class AlgebraContext:
         """The m-th Jucys-Murphy element."""
         if not 1 <= m <= self.params.n:
             raise HeckeError(f"Jucys-Murphy index {m} out of range")
-        if m not in self._jm_cache:
-            if self.params.r >= 2:
-                c = tuple(1 if k == m - 1 else 0 for k in range(self.params.n))
-                elt = self.from_index((c, perm_identity(self.params.n)))
-            else:
-                elt = _lmul_jm(self, m, self.one())
-            self._jm_cache[m] = elt.terms
-        return HeckeElement(self, self._jm_cache[m])
+        return HeckeElement(self, _terms_lmul(self, -m, self.one().terms))
 
     def jm_all(self):
         return [self.jm(m) for m in range(1, self.params.n + 1)]
@@ -240,13 +238,17 @@ def _bump(ctx, terms, idx, coeff):
         terms[idx] = coeff
 
 
-def _lmul_jm(ctx, m, elt):
-    """L_m * elt through the palindromic generator word."""
-    word = tuple(range(m - 1, 0, -1)) + (0,) + tuple(range(1, m))
-    out = elt
-    for tok in reversed(word):
-        out = _lmul_gen(ctx, tok, out)
-    return out.scale(ctx.xi_inv ** (m - 1))
+def _lmul_jm_index(ctx, m, idx):
+    """L_m * (L^c T_w) as a terms dict: the L_k commute, so L_m raises c_m;
+    only at c_m = r - 1 does it go through its palindromic word."""
+    c, w = idx
+    if c[m - 1] + 1 < ctx.params.r:
+        return {(c[:m - 1] + (c[m - 1] + 1,) + c[m:], w): ctx.t_one}
+    terms = {idx: ctx.t_one}
+    for tok in (*range(m - 1, 0, -1), *range(m)):
+        terms = _terms_lmul(ctx, tok, terms)
+    scale = _table_constant(ctx.ring, ctx.xi_inv ** (m - 1))
+    return {i: coeff * scale for i, coeff in terms.items()}
 
 
 def jm_polynomial(ctx, m, poly, elt):
@@ -254,7 +256,7 @@ def jm_polynomial(ctx, m, poly, elt):
     Horner through the left action of L_m."""
     out = ctx.zero()
     for c in reversed(poly):
-        out = _lmul_jm(ctx, m, out) + elt.scale(c)
+        out = HeckeElement(ctx, _terms_lmul(ctx, -m, out.terms)) + elt.scale(c)
     return out
 
 
@@ -301,10 +303,14 @@ def _rmul_gen_index(ctx, idx, token):
 
 
 def _lmul_gen_index(ctx, token, idx):
+    """T_token * (L^c T_w) for a generator token 0 .. n-1, and L_m *
+    (L^c T_w) for the token -m, as ((index, coeff), ..)."""
     key = (token, idx)
     cached = ctx._lmul.get(key)
     if cached is None:
-        if token == 0:
+        if token < 0:
+            cached = tuple(_lmul_jm_index(ctx, -token, idx).items())
+        elif token == 0:
             cached = tuple((i, c) for c, i in _lmul_t0_index(ctx, idx))
         else:
             cached = tuple((i, c) for c, i in _lmul_ti_index(ctx, token, idx))
@@ -328,23 +334,20 @@ def _terms_lmul(ctx, token, terms):
     return out
 
 
-def _lmul_gen(ctx, token, elt):
-    return HeckeElement(ctx, _terms_lmul(ctx, token, elt.terms))
-
-
-def _index_word_and_scale(ctx, idx):
-    """Canonical generator word of L^c T_w and its scalar prefactor."""
-    c, w = idx
-    word = []
-    shift = 0
-    for m, cm in enumerate(c, start=1):
-        for _ in range(cm):
-            word.extend(range(m - 1, 0, -1))
-            word.append(0)
-            word.extend(range(1, m))
-            shift += m - 1
-    word.extend(coxeter_word(w))
-    return tuple(word), ctx.xi_inv ** shift
+def _terms_mul(ctx, left, right):
+    """left * right for terms dicts: each term L^c T_w of left acts on right
+    by left actions, the letters of T_w last first, then each L_m."""
+    out = {}
+    for (c, w), coeff in left.items():
+        part = right
+        for tok in reversed(coxeter_word(w)):
+            part = _terms_lmul(ctx, tok, part)
+        for m, cm in enumerate(c, start=1):
+            for _ in range(cm):
+                part = _terms_lmul(ctx, -m, part)
+        for idx, c2 in part.items():
+            _bump(ctx, out, idx, coeff * c2)
+    return out
 
 
 # -- elements ------------------------------------------------------------------
@@ -383,22 +386,26 @@ class HeckeElement:
         return HeckeElement(self.ctx, {i: c * coeff for i, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The walk goes over the factor with fewer terms; a sparser right
+        factor walks as a * b = (b^* a^*)^*."""
         o = self._check(other)
         ctx = self.ctx
-        out = ctx.zero()
-        for idx, coeff in o.terms.items():
-            word, scale = _index_word_and_scale(ctx, idx)
-            part = self
-            for tok in word:
-                part = _rmul_gen(ctx, part, tok)
-            out = out + part.scale(scale * coeff)
-        return out
+        if len(o.terms) < len(self.terms):
+            return HeckeElement(ctx, _terms_star(ctx, _terms_mul(
+                ctx, _terms_star(ctx, o.terms), _terms_star(ctx, self.terms))))
+        return HeckeElement(ctx, _terms_mul(ctx, self.terms, o.terms))
+
+    def _check_token(self, token):
+        if not 0 <= token < self.ctx.params.n:
+            raise HeckeError(f"generator index {token} out of range")
 
     def rmul_gen(self, token):
+        self._check_token(token)
         return _rmul_gen(self.ctx, self, token)
 
     def lmul_gen(self, token):
-        return _lmul_gen(self.ctx, token, self)
+        self._check_token(token)
+        return HeckeElement(self.ctx, _terms_lmul(self.ctx, token, self.terms))
 
     def star(self):
         """The anti-involution fixing all generators."""
@@ -523,29 +530,17 @@ def m_tt(ctx, shape):
     return elt
 
 
-def m_basis(ctx, s, t, diag_cache=None):
+def m_basis(ctx, s, t):
     """The Murphy cellular basis element m_{st}."""
     from .tableaux import d_perm
     from .group import perm_inverse
     if s.shape != t.shape:
         raise HeckeError("tableaux must share a shape")
-    diag = (diag_cache or {}).get(s.shape)
-    if diag is None:
-        diag = m_tt(ctx, s.shape)
-        if diag_cache is not None:
-            diag_cache[s.shape] = diag
     left = t_perm(ctx, perm_inverse(d_perm(s)))
     right = t_perm(ctx, d_perm(t))
-    return left * diag * right
+    return left * m_tt(ctx, s.shape) * right
 
 
 def elementary_symmetric_jm(ctx, m):
     """e_m(L_1, .., L_n) as an algebra element."""
-    n = ctx.params.n
-    out = ctx.zero()
-    for subset in itertools.combinations(range(1, n + 1), m):
-        part = ctx.one()
-        for k in subset:
-            part = part * ctx.jm(k)
-        out = out + part
-    return out
+    return elementary_symmetric(ctx.jm_all(), m, ctx.one())

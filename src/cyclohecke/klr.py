@@ -102,6 +102,10 @@ class KLRBlocks:
                 raise WeightError(f"Q{l} != xi^kappa_{l}")
         self._spectral = self._spectral_projectors()
         self.idempotents = self._joint_idempotents()
+        # the residue sequences of each block, keyed by residue content
+        self.blocks = {}
+        for i in self.idempotents:
+            self.blocks.setdefault(tuple(sorted(Counter(i).items())), []).append(i)
 
     # -- single-operator spectral projectors --------------------------------
 
@@ -169,10 +173,6 @@ class KLRBlocks:
             x = jm_polynomial(self.ctx, k, self._spectral[k - 1][i[k - 1]], x)
         return x
 
-    def e(self, i):
-        return self.idempotents.get(tuple(j % self.weight.e for j in i),
-                                    self.ctx.zero())
-
     def support(self):
         return sorted(self.idempotents)
 
@@ -188,19 +188,17 @@ class KLRBlocks:
     # -- blocks ----------------------------------------------------------------
 
     def block_labels(self):
-        """Residue contents alpha with e(alpha) != 0, as sorted count tuples."""
-        labels = {}
-        for i in self.idempotents:
-            key = tuple(sorted(Counter(i).items()))
-            labels.setdefault(key, []).append(i)
-        return labels
+        """Residue contents alpha with e(alpha) != 0, as sorted count tuples,
+        each with its residue sequences."""
+        return self.blocks
+
+    def _block(self, label):
+        return self.blocks.get(tuple(sorted(label)), [])
 
     def block_idempotent(self, label):
-        key = tuple(sorted(label))
         elt = self.ctx.zero()
-        for i, ei in self.idempotents.items():
-            if tuple(sorted(Counter(i).items())) == key:
-                elt = elt + ei
+        for i in self._block(label):
+            elt = elt + self.idempotents[i]
         return elt
 
     def block_dimension(self, label):
@@ -251,12 +249,9 @@ class KLRBlocks:
     def z(self, i, label):
         """z(i, alpha) = sum_{nu in I^alpha} prod_{k: nu_k = i} y_k e(nu)."""
         ctx = self.ctx
-        key = tuple(sorted(label))
         out = ctx.zero()
-        for nu, e_nu in self.idempotents.items():
-            if tuple(sorted(Counter(nu).items())) != key:
-                continue
-            part = e_nu
+        for nu in self._block(label):
+            part = self.idempotents[nu]
             for k, res in enumerate(nu, start=1):
                 if res % self.weight.e == i % self.weight.e:
                     part = jm_polynomial(ctx, k, self._y_factor(i), part)
@@ -266,12 +261,9 @@ class KLRBlocks:
     def z_recomputed_reversed(self, i, label):
         """Same sum over a reversed enumeration; a permutation-invariance check."""
         ctx = self.ctx
-        key = tuple(sorted(label))
         out = ctx.zero()
-        for nu, e_nu in sorted(self.idempotents.items(), reverse=True):
-            if tuple(sorted(Counter(nu).items())) != key:
-                continue
-            part = e_nu
+        for nu in reversed(self._block(label)):
+            part = self.idempotents[nu]
             for k in range(len(nu), 0, -1):
                 if nu[k - 1] % self.weight.e == i % self.weight.e:
                     part = part - (ctx.jm(k) * part).scale(self._xi_power(-i))

@@ -219,7 +219,6 @@ class SeminormalData:
         self._gamma = {}
         self._flam = {}
         self._schur = {}
-        self._mdiag = {}
         self._shape_contents = {}
         self._rho = {}
         self._word_rho = {}
@@ -269,7 +268,7 @@ class SeminormalData:
         key = (s.shape, s.rows, t.rows)
         cached = self._f.get(key)
         if cached is None:
-            cached = self.F(s) * m_basis(self.ctx, s, t, self._mdiag) * self.F(t)
+            cached = self.F(s) * m_basis(self.ctx, s, t) * self.F(t)
             self._f[key] = cached
         return cached
 

@@ -9,7 +9,7 @@ from cyclohecke.acceptance import CRITERIA
 _ELAPSED = {}
 
 # stated runtime budgets (seconds) where the criteria carry one
-_BUDGETS = {"1": 15, "2": 15, "3": 120, "4": 15, "5": 15, "6": 20, "7": 15,
+_BUDGETS = {"1": 15, "2": 15, "3": 45, "4": 15, "5": 15, "6": 20, "7": 15,
             "8": 15, "9": 15}
 
 

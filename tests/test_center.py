@@ -414,6 +414,20 @@ def test_z_is_the_relabelled_y(make, moved):
         assert zs[info.label] == want_z
 
 
+def test_central_bases_duality_recheck_makes_no_full_products(monkeypatch):
+    # products walk by the left actions that build the y_C; the gate's
+    # duality recheck walks right actions along the words instead
+    from cyclohecke.acceptance import _central_bases_check
+
+    def refuse(self, other):
+        raise AssertionError("full product")
+
+    ctx = spec_context(2, 3, Fraction(-1), [Fraction(1), Fraction(-1)])
+    polys = ClassPolynomials(ctx)
+    monkeypatch.setattr(HeckeElement, "__mul__", refuse)
+    assert _central_bases_check(ctx, polys, "duality").passed
+
+
 @pytest.mark.parametrize("make,classes", [
     (lambda: spec_context(2, 3), 5),
     (lambda: spec_context(2, 3, Fraction(-1), [Fraction(1), Fraction(-1)]), 5),

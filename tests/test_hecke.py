@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from conftest import fraction_context, laurent_context, spec_context
 
+from cyclohecke.center import context_for_weight
 from cyclohecke.group import (
     GroupParams,
     coxeter_word,
@@ -21,6 +22,7 @@ from cyclohecke.hecke import (
     _rmul_gen_index,
     _star_index,
     _terms_lmul,
+    elementary_symmetric_jm,
     jm_polynomial,
     m_basis,
     m_tt,
@@ -184,6 +186,107 @@ def test_right_t0_action_matches_the_seminormal_representations(make_ctx):
             assert got == want, (shape, idx)
 
 
+def _jm_word(m):
+    """The palindromic word T_{m-1} .. T_1 T_0 T_1 .. T_{m-1} of xi^{m-1} L_m."""
+    return tuple(range(m - 1, 0, -1)) + tuple(range(m))
+
+
+_JM_RINGS = {
+    "Q": spec_context,
+    "laurent": laurent_context,
+    "fraction": fraction_context,
+    "cyclo3": lambda r, n: context_for_weight(r, n, 3, tuple(range(r))),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_JM_RINGS))
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 2)])
+def test_jm_exponent_rule_matches_the_palindromic_word(r, n, ring):
+    # L_m raises c_m by one, and at c_m = r - 1 overflows; the reference
+    # applies the word letter by letter through the public generator actions
+    ctx = _JM_RINGS[ring](r, n)
+    for m in range(1, n + 1):
+        scale = ctx.xi_inv ** (m - 1)
+        assert ctx.jm(m) == word_product(ctx, _jm_word(m)).scale(scale)
+        for idx in ctx.basis_indices():
+            x = ctx.from_index(idx)
+            want = x
+            for tok in reversed(_jm_word(m)):
+                want = want.lmul_gen(tok)
+            assert _terms_lmul(ctx, -m, x.terms) == want.scale(scale).terms, (idx, m)
+
+
+@pytest.mark.parametrize("make_ctx", [
+    lambda: spec_context(2, 3),
+    lambda: spec_context(1, 4),
+    lambda: spec_context(3, 2, Fraction(-1), [Fraction(1), Fraction(-1), Fraction(1)]),
+    lambda: laurent_context(3, 2),
+    lambda: fraction_context(2, 2),
+    lambda: context_for_weight(2, 3, 3, (0, 1)),
+], ids=["2-3", "1-4", "3-2-xi-1", "3-2-laurent", "2-2-fraction", "2-3-cyclo3"])
+def test_products_match_concatenated_words(make_ctx):
+    # word products use right actions only, so they share no code with the
+    # left-action walk of a product
+    ctx = make_ctx()
+    n = ctx.params.n
+    rng = random.Random(13)
+
+    def word():
+        return tuple(rng.randrange(n) for _ in range(rng.randint(0, 8)))
+
+    orientations = set()
+    for _ in range(20):
+        u, v = word(), word()
+        a, b = word_product(ctx, u), word_product(ctx, v)
+        orientations.add(len(a.terms) <= len(b.terms))
+        assert a * b == word_product(ctx, u + v), (u, v)
+    # sums of words: dense times dense, either side the sparser
+    for _ in range(8):
+        us = [word() for _ in range(rng.randint(1, 4))]
+        vs = [word() for _ in range(rng.randint(1, 4))]
+        a, b, want = ctx.zero(), ctx.zero(), ctx.zero()
+        for u in us:
+            a = a + word_product(ctx, u)
+        for v in vs:
+            b = b + word_product(ctx, v)
+        for u in us:
+            for v in vs:
+                want = want + word_product(ctx, u + v)
+        orientations.add(len(a.terms) <= len(b.terms))
+        assert a * b == want, (us, vs)
+    assert orientations == {True, False}
+
+
+@pytest.mark.parametrize("make_ctx", [
+    lambda: spec_context(2, 3),
+    lambda: spec_context(1, 4),
+    lambda: fraction_context(2, 2),
+], ids=["2-3", "1-4", "2-2-fraction"])
+def test_elementary_symmetric_jm_matches_the_subset_sum(make_ctx):
+    ctx = make_ctx()
+    n = ctx.params.n
+    for m in range(n + 2):
+        want = ctx.zero()
+        for subset in itertools.combinations(range(1, n + 1), m):
+            word = sum((_jm_word(k) for k in subset), ())
+            shift = sum(k - 1 for k in subset)
+            want = want + word_product(ctx, word).scale(ctx.xi_inv ** shift)
+        assert elementary_symmetric_jm(ctx, m) == want, m
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 2), (3, 1)])
+def test_public_generator_actions_check_the_token(r, n):
+    ctx = spec_context(r, n)
+    x = ctx.generator(n - 1)
+    for token in (-1, n, n + 2):
+        with pytest.raises(HeckeError):
+            x.rmul_gen(token)
+        with pytest.raises(HeckeError):
+            x.lmul_gen(token)
+        with pytest.raises(HeckeError):
+            ctx.generator(token)
+
+
 @pytest.mark.parametrize("make_ctx", [
     lambda: laurent_context(2, 3),
     lambda: spec_context(1, 4),
@@ -227,7 +330,6 @@ def test_tau_gram_nondegenerate_symbolic():
 
 
 def test_symmetric_jm_polynomials_central(ctx22_sym):
-    from cyclohecke.hecke import elementary_symmetric_jm
     ctx = ctx22_sym
     for m in (1, 2):
         em = elementary_symmetric_jm(ctx, m)
@@ -284,14 +386,12 @@ def test_m_tt_examples():
 
 def test_m_basis_star_symmetry(ctx22_sym):
     ctx = ctx22_sym
-    cache = {}
     count = 0
     for shape in enumerate_multipartitions(2, 2):
         stds = standard_tableaux(shape)
         for s in stds:
             for t in stds:
-                assert m_basis(ctx, s, t, cache).star() == \
-                    m_basis(ctx, t, s, cache)
+                assert m_basis(ctx, s, t).star() == m_basis(ctx, t, s)
                 count += 1
     assert count == ctx.dimension
 
@@ -299,12 +399,11 @@ def test_m_basis_star_symmetry(ctx22_sym):
 def test_m_basis_is_cellular_basis(ctx22_spec):
     ctx = ctx22_spec
     basis = SubspaceBasis(ctx.ring)
-    cache = {}
     for shape in enumerate_multipartitions(2, 2):
         stds = standard_tableaux(shape)
         for s in stds:
             for t in stds:
-                assert basis.add(m_basis(ctx, s, t, cache).terms)
+                assert basis.add(m_basis(ctx, s, t).terms)
     assert basis.rank == ctx.dimension
 
 
