@@ -35,7 +35,7 @@ T_{w_D} lies in [H, H] and tau([a, b] z) = 0 for central z.  So y_C is
 read off the center itself, by solving the #classes x #classes system of
 pairings tau(T_{w_D} z_j) against the nullspace basis z_j, with no tau-dual
 basis of H.  Each class's form tau(T_{w_D} .) is built once, as a vector on
-the basis indices, by transposed left generator actions along the word of
+the basis positions, by transposed left generator actions along the word of
 w_D; a pairing is then a dot product with z_j.
 z_C = sum_w g_{w,C} (T_{w^{-1}})^vee is y_{beta_hat(C)}.
 """
@@ -59,7 +59,7 @@ from .hecke import (
     _rmul_gen_index,
     t_element,
 )
-from .linalg import Elimination, SubspaceBasis, nullspace
+from .linalg import Elimination, SubspaceBasis, nullspace, span
 from .tableaux import enumerate_multipartitions
 
 
@@ -104,21 +104,20 @@ def _commutator_tokens(params):
 
 def commutator_subspace(ctx):
     """Row-echelon basis of [H, H]."""
-    basis = SubspaceBasis(ctx.ring)
-    for token in _commutator_tokens(ctx.params):
-        for idx in ctx.basis_indices():
-            basis.add(_index_commutator(ctx, idx, token))
-    return basis
+    return span(ctx.ring, [_index_commutator(ctx, idx, token)
+                           for token in _commutator_tokens(ctx.params)
+                           for idx in ctx.basis_indices()])
 
 
 def center(ctx):
     """The center as a list of HeckeElements plus its echelon basis."""
-    columns = list(ctx.basis_indices())
-    rows = {}
+    columns = ctx.basis_indices()
+    dim = ctx.dimension
+    rows = {}             # the transpose, one row per (token, position)
     for token in _commutator_tokens(ctx.params):
         for idx in columns:
             for idx2, coeff in _index_commutator(ctx, idx, token).items():
-                rows.setdefault((token, idx2), {})[idx] = coeff
+                rows.setdefault(token * dim + idx2, {})[idx] = coeff
     sols = nullspace(ctx.ring, list(rows.values()), columns)
     elements = [HeckeElement(ctx, vec) for vec in sols]
     basis = SubspaceBasis.from_echelon(
@@ -286,10 +285,11 @@ def center_bases_yz(ctx, polys):
 
 def _tau_form(ctx, word):
     """The form u -> tau(T_{s_1} .. T_{s_k} u) for word = (s_1, .., s_k), as
-    {basis index: value}, built by transposed left generator actions: after
-    s_i, the form takes L^c T_w to the old form's value on T_{s_i} L^c T_w."""
+    {basis position: value}, built by transposed left generator actions:
+    after s_i, the form takes L^c T_w to the old form's value on
+    T_{s_i} L^c T_w."""
     ring = ctx.ring
-    indices = list(ctx.basis_indices())
+    indices = ctx.basis_indices()
     form = {ctx.identity_index(): ring.one()}
     for tok in word:
         new = {}

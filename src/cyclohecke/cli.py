@@ -191,6 +191,8 @@ def cmd_hecke_mult(args):
 def cmd_hecke_relations(args):
     from .acceptance import _relation_checks
     import random
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, not {args.trials}")
     ctx = build_context(args)
     rng = random.Random(args.seed)
     checks = _relation_checks(ctx, f"({args.r},{args.n})", rng, args.trials)

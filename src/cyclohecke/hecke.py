@@ -12,6 +12,17 @@ T_1 \cdots T_{m-1}$, so $\mathcal{L}_1 = T_0$.  Elements are stored as sparse
 maps on the Ariki-Koike basis $\{\mathcal{L}^c T_w\}$ with $0 \le c_i < r$
 and $w \in \mathfrak{S}_n$; multiplication is division-free straightening.
 
+A basis element is named by its position, an ``int``: the place of its
+label $(c, w)$ in the sorted order of the labels, colors first, so the
+identity is position 0.  ``HeckeElement.terms``, the cached tables and the
+commutator vectors of the center module are keyed by position, because a
+dict operation on an ``int`` costs a fraction of one on a nested tuple.
+``AlgebraContext.index_label`` and ``position`` convert; the numbering is
+built on first use.  A label is read only where the structure is: a
+straightening rule decodes a position to build a table entry and encodes
+its results before they are cached, and a product decodes each term of
+its left factor.  JSON and ``repr`` print labels, in position order.
+
 The straightening rules, writing $L = \mathcal{L}_i$, $M = \mathcal{L}_{i+1}$:
 
     T_i L^a M^b = (swap of exponents) T_i  +  corrections:
@@ -38,7 +49,7 @@ $T_w = T_{ws} T_s$, so
 and the right action of $T_0$ is a sequence of left actions and stays
 division-free.
 
-The generator actions on basis indices and the index stars are cached as
+The generator actions on basis positions and the index stars are cached as
 tables over the straightening constants $1$, $\xi$, $\xi - 1$ and the
 signed $e_j(Q)$.  Over $\mathbb{Q}$ an integral constant is a Python
 ``int``, so those tables (and the commutator vectors of the center module)
@@ -63,6 +74,7 @@ so the collection is again a basis.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .group import (
     GroupParams,
@@ -108,11 +120,12 @@ class AlgebraContext:
         for j in range(1, params.r + 1):
             ej = elementary_symmetric(list(qs), j, one)
             self.cyc_coeffs.append(_table_constant(ring, ej if j % 2 else -ej))
+        # generator actions, {token: {position: ((position, coeff), ..)}}
         self._rmul = {}
         self._lmul = {}
-        # terms dicts, not HeckeElements: an element refers back to its
-        # context, and that cycle would keep a dropped context alive until
-        # the next full garbage collection
+        # terms dicts keyed by position, not HeckeElements: an element refers
+        # back to its context, and that cycle would keep a dropped context
+        # alive until the next full garbage collection
         self._star = {}
         self._t_cache = {}
 
@@ -123,15 +136,40 @@ class AlgebraContext:
         return self.params.order
 
     def identity_index(self):
-        n = self.params.n
-        return ((0,) * n, perm_identity(n))
+        return 0
 
     def basis_indices(self):
+        """The basis positions 0 .. dim-1; position i is L^c T_w for (c, w) =
+        ``index_label(i)``, the colors varying slowest."""
+        return range(self.dimension)
+
+    @cached_property
+    def _labels(self):
+        """(c, w) at every position: colors in lexicographic order, and for
+        each the permutations in sorted order, so that positions sort as
+        their labels do."""
         n, r = self.params.n, self.params.r
         perms = sorted(itertools.permutations(range(1, n + 1)))
-        for c in itertools.product(range(r), repeat=n):
-            for w in perms:
-                yield (c, w)
+        return tuple((c, w) for c in itertools.product(range(r), repeat=n)
+                     for w in perms)
+
+    @cached_property
+    def _positions(self):
+        return {label: i for i, label in enumerate(self._labels)}
+
+    def index_label(self, idx):
+        """The label (c, w) of the basis element L^c T_w at position idx."""
+        labels = self._labels
+        if not 0 <= idx < len(labels):
+            raise HeckeError(f"basis position {idx} out of range")
+        return labels[idx]
+
+    def position(self, label):
+        """The position of the basis element L^c T_w with label (c, w)."""
+        pos = self._positions.get(label)
+        if pos is None:
+            raise HeckeError(f"{label!r} labels no basis element")
+        return pos
 
     def zero(self):
         return HeckeElement(self, {})
@@ -149,10 +187,11 @@ class AlgebraContext:
             if r == 1:
                 return self.one().scale(self.qs[0])
             c = (1,) + (0,) * (n - 1)
-            return self.from_index((c, perm_identity(n)))
+            return self.from_index(self.position((c, perm_identity(n))))
         if not 1 <= token <= n - 1:
             raise HeckeError(f"generator index {token} out of range")
-        return self.from_index(((0,) * n, perm_transposition(n, token)))
+        return self.from_index(
+            self.position(((0,) * n, perm_transposition(n, token))))
 
     def jm(self, m):
         """The m-th Jucys-Murphy element."""
@@ -173,10 +212,12 @@ def _table_constant(ring, value):
 
 
 # -- index-level straightening ------------------------------------------------
+#
+# The rules act on labels (c, w); the tables cache their results by basis
+# position, and a position is decoded only to build a table entry.
 
-def _lmul_t0_index(ctx, idx):
-    """L_1 * (L^c T_w) as [(coeff, index)]."""
-    c, w = idx
+def _lmul_t0_label(ctx, c, w):
+    """L_1 * (L^c T_w) as ((coeff, label), ..)."""
     r = ctx.params.r
     if c[0] + 1 < r:
         return ((ctx.t_one, ((c[0] + 1,) + c[1:], w)),)
@@ -195,9 +236,8 @@ def _left_coxeter(ctx, i, w):
     return ((ctx.xi_m1, w), (ctx.t_xi, sw))
 
 
-def _lmul_ti_index(ctx, i, idx):
-    """T_i * (L^c T_w) as [(coeff, index)]."""
-    c, w = idx
+def _lmul_ti_label(ctx, i, c, w):
+    """T_i * (L^c T_w) as ((coeff, label), ..)."""
     a, b = c[i - 1], c[i]
     swapped = list(c)
     swapped[i - 1], swapped[i] = b, a
@@ -218,13 +258,26 @@ def _lmul_ti_index(ctx, i, idx):
     return tuple(out)
 
 
-def _rmul_ti_index(ctx, idx, i):
-    """(L^c T_w) * T_i as [(coeff, index)]."""
-    c, w = idx
+def _rmul_ti_label(ctx, c, w, i):
+    """(L^c T_w) * T_i as ((coeff, label), ..)."""
     ws = perm_compose(w, perm_transposition(ctx.params.n, i))
     if w[i - 1] < w[i]:
         return ((ctx.t_one, (c, ws)),)
     return ((ctx.xi_m1, (c, w)), (ctx.t_xi, (c, ws)))
+
+
+def _position(ctx, label):
+    """The position of a label that a straightening rule produced; a label
+    outside the basis is a fault in the rule."""
+    pos = ctx._positions.get(label)
+    if pos is None:
+        raise AssertionError(f"straightening left the basis at {label!r}")
+    return pos
+
+
+def _encode(ctx, pairs):
+    """A table entry ((position, coeff), ..) from ((coeff, label), ..)."""
+    return tuple((_position(ctx, label), coeff) for coeff, label in pairs)
 
 
 def _bump(ctx, terms, idx, coeff):
@@ -241,9 +294,9 @@ def _bump(ctx, terms, idx, coeff):
 def _lmul_jm_index(ctx, m, idx):
     """L_m * (L^c T_w) as a terms dict: the L_k commute, so L_m raises c_m;
     only at c_m = r - 1 does it go through its palindromic word."""
-    c, w = idx
+    c, w = ctx.index_label(idx)
     if c[m - 1] + 1 < ctx.params.r:
-        return {(c[:m - 1] + (c[m - 1] + 1,) + c[m:], w): ctx.t_one}
+        return {_position(ctx, (c[:m - 1] + (c[m - 1] + 1,) + c[m:], w)): ctx.t_one}
     terms = {idx: ctx.t_one}
     for tok in (*range(m - 1, 0, -1), *range(m)):
         terms = _terms_lmul(ctx, tok, terms)
@@ -266,21 +319,25 @@ def _star_index(ctx, idx):
     T_s (L^c T_{ws})^*: one left action on a shorter cached star."""
     cached = ctx._star.get(idx)
     if cached is None:
-        c, w = idx
+        c, w = ctx.index_label(idx)
         s = next((i for i in range(1, len(w)) if w[i - 1] > w[i]), None)
         if s is None:
             cached = {idx: ctx.t_one}
         else:
             ws = perm_compose(w, perm_transposition(ctx.params.n, s))
-            cached = _terms_lmul(ctx, s, _star_index(ctx, (c, ws)))
+            cached = _terms_lmul(ctx, s, _star_index(ctx, _position(ctx, (c, ws))))
         ctx._star[idx] = cached
     return cached
 
 
 def _terms_star(ctx, terms):
+    stars = ctx._star
     out = {}
     for idx, coeff in terms.items():
-        for idx2, c2 in _star_index(ctx, idx).items():
+        star = stars.get(idx)
+        if star is None:
+            star = _star_index(ctx, idx)
+        for idx2, c2 in star.items():
             _bump(ctx, out, idx2, coeff * c2)
     return out
 
@@ -290,46 +347,63 @@ def _rmul_t0_index(ctx, idx):
     return _terms_star(ctx, _terms_lmul(ctx, 0, _star_index(ctx, idx)))
 
 
+def _table(tables, token):
+    """One token's cached action, {position: ((position, coeff), ..)}."""
+    table = tables.get(token)
+    if table is None:
+        table = tables[token] = {}
+    return table
+
+
 def _rmul_gen_index(ctx, idx, token):
-    key = (idx, token)
-    cached = ctx._rmul.get(key)
+    table = _table(ctx._rmul, token)
+    cached = table.get(idx)
     if cached is None:
         if token == 0:
             cached = tuple(_rmul_t0_index(ctx, idx).items())
         else:
-            cached = tuple((i, c) for c, i in _rmul_ti_index(ctx, idx, token))
-        ctx._rmul[key] = cached
+            c, w = ctx.index_label(idx)
+            cached = _encode(ctx, _rmul_ti_label(ctx, c, w, token))
+        table[idx] = cached
     return cached
 
 
 def _lmul_gen_index(ctx, token, idx):
     """T_token * (L^c T_w) for a generator token 0 .. n-1, and L_m *
-    (L^c T_w) for the token -m, as ((index, coeff), ..)."""
-    key = (token, idx)
-    cached = ctx._lmul.get(key)
+    (L^c T_w) for the token -m, as ((position, coeff), ..)."""
+    table = _table(ctx._lmul, token)
+    cached = table.get(idx)
     if cached is None:
         if token < 0:
             cached = tuple(_lmul_jm_index(ctx, -token, idx).items())
         elif token == 0:
-            cached = tuple((i, c) for c, i in _lmul_t0_index(ctx, idx))
+            cached = _encode(ctx, _lmul_t0_label(ctx, *ctx.index_label(idx)))
         else:
-            cached = tuple((i, c) for c, i in _lmul_ti_index(ctx, token, idx))
-        ctx._lmul[key] = cached
+            cached = _encode(ctx, _lmul_ti_label(ctx, token, *ctx.index_label(idx)))
+        table[idx] = cached
     return cached
 
 
 def _rmul_gen(ctx, elt, token):
+    table = _table(ctx._rmul, token)
     out = {}
     for idx, coeff in elt.terms.items():
-        for idx2, c2 in _rmul_gen_index(ctx, idx, token):
+        entry = table.get(idx)
+        if entry is None:
+            entry = _rmul_gen_index(ctx, idx, token)
+        for idx2, c2 in entry:
             _bump(ctx, out, idx2, coeff * c2)
     return HeckeElement(ctx, out)
 
 
 def _terms_lmul(ctx, token, terms):
+    table = _table(ctx._lmul, token)
     out = {}
     for idx, coeff in terms.items():
-        for idx2, c2 in _lmul_gen_index(ctx, token, idx):
+        entry = table.get(idx)
+        if entry is None:
+            entry = _lmul_gen_index(ctx, token, idx)
+        for idx2, c2 in entry:
             _bump(ctx, out, idx2, coeff * c2)
     return out
 
@@ -337,16 +411,18 @@ def _terms_lmul(ctx, token, terms):
 def _terms_mul(ctx, left, right):
     """left * right for terms dicts: each term L^c T_w of left acts on right
     by left actions, the letters of T_w last first, then each L_m."""
+    labels = ctx._labels
     out = {}
-    for (c, w), coeff in left.items():
+    for idx, coeff in left.items():
+        c, w = labels[idx]
         part = right
         for tok in reversed(coxeter_word(w)):
             part = _terms_lmul(ctx, tok, part)
         for m, cm in enumerate(c, start=1):
             for _ in range(cm):
                 part = _terms_lmul(ctx, -m, part)
-        for idx, c2 in part.items():
-            _bump(ctx, out, idx, coeff * c2)
+        for idx2, c2 in part.items():
+            _bump(ctx, out, idx2, coeff * c2)
     return out
 
 
@@ -427,16 +503,20 @@ class HeckeElement:
         )
 
     def __repr__(self):
+        labels = self.ctx._labels
         items = sorted(self.terms.items())[:6]
-        body = ", ".join(f"{i}: {c!r}" for i, c in items)
+        body = ", ".join(f"{labels[i]}: {c!r}" for i, c in items)
         more = "" if len(self.terms) <= 6 else f", .. ({len(self.terms)} terms)"
         return f"HeckeElement({{{body}{more}}})"
 
     def to_json(self):
-        ring = self.ctx.ring
+        """The terms as {"c", "w", "coeff"} objects, sorted by (c, w), which
+        is position order."""
+        ring, labels = self.ctx.ring, self.ctx._labels
         return [
-            {"c": list(c), "w": list(w), "coeff": ring.format(coeff)}
-            for (c, w), coeff in sorted(self.terms.items())
+            {"c": list(labels[i][0]), "w": list(labels[i][1]),
+             "coeff": ring.format(coeff)}
+            for i, coeff in sorted(self.terms.items())
         ]
 
     @staticmethod
@@ -463,7 +543,7 @@ class HeckeElement:
             except ZeroDivisionError:
                 raise HeckeError(
                     f"zero denominator in coefficient {item['coeff']!r}") from None
-            _bump(ctx, terms, (tuple(c), tuple(w)), coeff)
+            _bump(ctx, terms, ctx.position((tuple(c), tuple(w))), coeff)
         return HeckeElement(ctx, terms)
 
 
@@ -477,7 +557,7 @@ def word_product(ctx, word):
 
 def t_element(ctx, w):
     """T_w for a group element, via its fixed BM reduced word."""
-    key = (w.colors, w.perm)
+    key = ctx.position((w.colors, w.perm))
     cached = ctx._t_cache.get(key)
     if cached is None:
         cached = word_product(ctx, bm_word(w)).terms

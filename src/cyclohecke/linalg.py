@@ -17,14 +17,25 @@ its denominators and reduced by the cross-multiplied update
 no ``Fraction``; ``add`` divides each new and back-substituted row by its
 content.  Over the other fields a stored row is scaled to 1 at its pivot
 and the update is ``v -= v[p] row``.  Either way ``rows`` shows rows that are
-1 at their pivot, and ``reduce`` returns the exact remainder.  Pivots prefer
-entries with few terms, which limits expression swell in the function-field
-cases; over Q every entry has the same size, so the smallest column wins.
+1 at their pivot, and ``reduce`` returns the exact remainder.
+
+The pivot of a new row is one of its columns.  Over the function fields
+it is an entry with the fewest terms, which limits expression swell.  Over
+Q and the cyclotomic fields every entry has the same size, and ``span``,
+which sees the whole family first, pivots on the column that the fewest
+of its vectors carry: such a column leaves fewer stored rows to
+back-substitute and keeps the basis sparse.  Ties go to the smallest
+column.  A ``SubspaceBasis`` grown one vector at a time knows no counts and
+orders by entry size, then column.  Over Q and the cyclotomic fields either
+rule is a fixed order on the columns, each stored row starts at its pivot
+in that order, and so the basis is the reduced echelon form for that
+order, whatever order the vectors come in.
 
 Everything else reads a ``SubspaceBasis``: ``nullspace`` takes the free
 columns of the row space, and its solutions, each 1 at its own free column
 and 0 at the others, are a basis in stored form for ``from_echelon``, with
-nothing left to eliminate.  ``Elimination`` records each row operation of the
+nothing left to eliminate; over Q each entry is ``-row[fc] / row[pivot]``
+read off the integer rows.  ``Elimination`` records each row operation of the
 echelon build so that a right-hand side costs only a replay, and ``solve``
 and ``invert_matrix`` are replays of an ``Elimination``.  ``Elimination``
 keeps field rows over every ring: its recorded multipliers are replayed on
@@ -34,21 +45,26 @@ for the replay to run.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import not_
 
 from .rings import RATIONAL_KINDS
 
+# coefficient kinds whose entries differ in size (number of terms)
+_SIZED_KINDS = ("laurent", "fraction-of-laurent")
+
 
 class SubspaceBasis:
     """A growing row-echelon basis over a field RingSpec."""
 
-    def __init__(self, ring):
+    def __init__(self, ring, counts=None):
         self.ring = ring
         self._integral = ring.kind in RATIONAL_KINDS
         self._rows = {}       # pivot column -> stored row, 0 at other pivots
         self._fractions = None
+        self._counts = counts  # column -> how many input vectors carry it
 
     @classmethod
     def from_echelon(cls, ring, rows):
@@ -155,27 +171,42 @@ class SubspaceBasis:
         rem, _ = self._reduce(vec, True)
         if not rem:
             return False
-        pivot = min(rem, key=lambda col: (_size(rem[col]), col))
+        pivot = self._pivot(rem)
         row = self._normalise(rem, pivot)
         rows = self._rows
-        for col, row2 in rows.items():
-            coeff = row2.get(pivot)
-            if coeff is not None:
-                self._eliminate(row2, pivot, row)
-                self._record(col, None, coeff)
-                if self._integral:
-                    rows[col] = self._normalise(row2, col)
+        for col in [col for col, row2 in rows.items() if pivot in row2]:
+            row2 = rows[col]
+            coeff = row2[pivot]
+            self._eliminate(row2, pivot, row)
+            self._record(col, None, coeff)
+            if self._integral:
+                rows[col] = self._normalise(row2, col)
         rows[pivot] = row
         self._fractions = None
         return True
+
+    def _pivot(self, rem):
+        """The pivot of a new row: the column the fewest input vectors carry
+        when those counts are known, else an entry of fewest terms; ties go
+        to the smallest column."""
+        counts = self._counts
+        if counts is None:
+            return min(rem, key=lambda col: (_size(rem[col]), col))
+        return min(rem, key=lambda col: (counts[col], col))
 
     def vectors(self):
         return [dict(r) for _, r in sorted(self.rows.items())]
 
 
 def span(ring, vectors):
-    """The SubspaceBasis of the span of vectors."""
-    basis = SubspaceBasis(ring)
+    """The SubspaceBasis of the span of vectors.  Where every entry has the
+    same size (over Q and the cyclotomic fields) it pivots on the column the
+    fewest of the vectors carry."""
+    vectors = list(vectors)
+    counts = None
+    if ring.kind not in _SIZED_KINDS:
+        counts = Counter(c for v in vectors for c in v)
+    basis = SubspaceBasis(ring, counts)
     for v in vectors:
         basis.add(v)
     return basis
@@ -186,17 +217,19 @@ def nullspace(ring, rows, columns):
     column labels: one solution vector per free column of the row space, in
     column order.  Each solution is 1 at its own free column, its first key,
     and 0 at every other free column, so the solutions keyed by their free
-    columns are already a ``SubspaceBasis.from_echelon`` basis."""
-    pivots = span(ring, rows).rows
+    columns are already a ``SubspaceBasis.from_echelon`` basis.  Its entry
+    at a pivot is -row[fc] / row[pivot], read off the stored rows."""
+    basis = span(ring, rows)
+    pivots, integral, one = basis._rows, basis._integral, ring.one()
     sols = []
     for fc in columns:
         if fc in pivots:
             continue
-        vec = {fc: ring.one()}
+        vec = {fc: one}
         for piv, row in pivots.items():
             coeff = row.get(fc)
             if coeff is not None:
-                vec[piv] = -coeff
+                vec[piv] = Fraction(-coeff, row[piv]) if integral else -coeff
         sols.append(vec)
     return sols
 

@@ -333,12 +333,12 @@ class SeminormalData:
         return cached
 
     def _basis_character(self, shape, idx):
-        """chi_lambda(L^c T_w) for the Ariki-Koike basis index (c, w)."""
+        """chi_lambda(L^c T_w) for the basis element at position idx."""
         key = (shape, idx)
         cached = self._basis_char.get(key)
         if cached is None:
             ring = self.ctx.ring
-            c, w = idx
+            c, w = self.ctx.index_label(idx)
             rho = self._word_matrix(shape, coxeter_word(w))
             cached = ring.zero()
             for k, cv in enumerate(self.shape_contents(shape)):

@@ -75,6 +75,18 @@ def test_hecke_relations_symbolic_default():
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_hecke_relations_needs_a_positive_trial_count():
+    # zero or negative trials would report the randomized checks as passed
+    # without running them
+    for trials in ("0", "-1"):
+        code, out, err = run_cli(["hecke", "relations", "--r", "2", "--n", "2",
+                                  "--trials", trials])
+        assert code == 2 and not out and "--trials" in err
+    code, rep = run_json(["hecke", "relations", "--r", "2", "--n", "2",
+                          "--trials", "1"])
+    assert code == 0 and all(c["passed"] for c in rep["checks"])
+
+
 def test_hecke_mult_word_inputs():
     code, rep = run_json(["hecke", "mult", "--r", "2", "--n", "2",
                           "--x-word", "t", "--y-word", "t",

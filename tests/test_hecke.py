@@ -8,6 +8,8 @@ from fractions import Fraction
 
 from conftest import fraction_context, laurent_context, spec_context
 
+from cyclohecke import hecke
+from cyclohecke.acceptance import _straightening_closed
 from cyclohecke.center import context_for_weight
 from cyclohecke.group import (
     GroupParams,
@@ -31,7 +33,9 @@ from cyclohecke.hecke import (
     word_product,
     young_subgroup,
 )
+from cyclohecke.hecke import AlgebraContext
 from cyclohecke.linalg import SubspaceBasis, invert_matrix
+from cyclohecke.rings import RingSpec
 from cyclohecke.seminormal import SeminormalData, _mat_diag, _mat_mul
 from cyclohecke.tableaux import enumerate_multipartitions, standard_tableaux
 
@@ -90,6 +94,60 @@ def test_defining_relations_symbolic(r, n):
             assert T[i] * T[j] == T[j] * T[i]
 
 
+@pytest.mark.parametrize("r,n", [(1, 1), (2, 2), (3, 2), (1, 4), (2, 3)])
+def test_positions_number_the_basis_labels(r, n):
+    ctx = spec_context(r, n)
+    dim = ctx.dimension
+    labels = [ctx.index_label(i) for i in ctx.basis_indices()]
+    assert len(set(labels)) == dim and labels == sorted(labels)
+    assert all(len(c) == n and all(0 <= x < r for x in c)
+               and sorted(w) == list(range(1, n + 1)) for c, w in labels)
+    assert [ctx.position(label) for label in labels] == list(range(dim))
+    assert ctx.identity_index() == 0
+    assert ctx.index_label(0) == ((0,) * n, tuple(range(1, n + 1)))
+    assert ctx.one().terms == {0: ctx.ring.one()}
+    for bad in (-1, dim):
+        with pytest.raises(HeckeError):
+            ctx.index_label(bad)
+    for bad in (((r,) + (0,) * (n - 1), tuple(range(1, n + 1))),
+                ((0,) * n, tuple(range(n))), ((0,) * (n + 1), tuple(range(1, n + 2)))):
+        with pytest.raises(HeckeError):
+            ctx.position(bad)
+
+
+def test_numbering_is_built_on_first_use():
+    ctx = spec_context(2, 3)
+    assert "_labels" not in vars(ctx) and "_positions" not in vars(ctx)
+    ctx.one().tau()
+    assert "_labels" not in vars(ctx)
+    ctx.generator(1)
+    assert "_positions" in vars(ctx)
+
+
+@pytest.mark.parametrize("make_ctx", [
+    lambda: AlgebraContext(GroupParams(2, 2), RingSpec.rational(), Fraction(2),
+                           [Fraction(1), Fraction(3)]),
+    lambda: spec_context(2, 2),
+    lambda: context_for_weight(2, 2, 3, (0, 1)),
+    lambda: laurent_context(2, 2),
+    lambda: fraction_context(2, 2),
+], ids=["rational", "rational-specialization", "cyclotomic", "laurent",
+        "fraction-of-laurent"])
+def test_json_round_trip_and_repr_decode_positions(make_ctx):
+    ctx = make_ctx()
+    T0, T1 = ctx.generator(0), ctx.generator(1)
+    for x in (ctx.zero(), ctx.one(), T1, T0 * T1 * T0 + T1.scale(ctx.xi),
+              (T0 - T1) * (T1 * T0 + ctx.one())):
+        payload = x.to_json()
+        assert HeckeElement.from_json(ctx, payload) == x
+        labels = [(tuple(t["c"]), tuple(t["w"])) for t in payload]
+        assert labels == sorted(labels)
+        assert {ctx.position(label) for label in labels} == set(x.terms)
+    label = ctx.index_label(next(iter(T1.terms)))
+    assert label == ((0, 0), (2, 1))
+    assert repr(T1) == f"HeckeElement({{{label}: {ctx.ring.one()!r}}})"
+
+
 def test_associativity_and_closure_random(ctx22_sym):
     ctx = ctx22_sym
     rng = random.Random(3)
@@ -99,9 +157,40 @@ def test_associativity_and_closure_random(ctx22_sym):
         b = ctx.from_index(rng.choice(idxs))
         c = ctx.from_index(rng.choice(idxs))
         ab = a * b
-        for (cc, _w) in ab.terms:
+        for (cc, _w) in map(ctx.index_label, ab.terms):
             assert all(0 <= x < ctx.params.r for x in cc)
         assert (ab * c) == a * (b * c)
+
+
+def test_closure_check_catches_terms_outside_the_basis(monkeypatch):
+    # criterion 3's check decodes every position: one past the basis, a
+    # negative one, or one whose label carries the exponent r must fail it
+    ctx = spec_context(2, 3)
+    x = ctx.generator(0) * ctx.generator(1) * ctx.generator(0)
+    assert _straightening_closed(ctx, x)
+    for bad in (ctx.dimension, -1):
+        terms = dict(x.terms)
+        terms[bad] = ctx.ring.one()
+        assert not _straightening_closed(ctx, HeckeElement(ctx, terms))
+    i = max(x.terms)
+    c, w = ctx.index_label(i)
+    labels = list(ctx._labels)
+    labels[i] = ((ctx.params.r,) + c[1:], w)
+    monkeypatch.setattr(ctx, "_labels", tuple(labels))
+    assert not _straightening_closed(ctx, x)
+
+
+def test_a_rule_that_leaves_the_basis_is_refused(monkeypatch):
+    # a table entry is encoded by position, and no position carries an
+    # exponent outside 0 .. r-1: the fault surfaces as an internal
+    # inconsistency, not as a wrong product
+    def overflowing(ctx, c, w):
+        return ((ctx.t_one, ((c[0] + 1,) + c[1:], w)),)
+
+    monkeypatch.setattr(hecke, "_lmul_t0_label", overflowing)
+    ctx = spec_context(2, 2)
+    with pytest.raises(AssertionError, match="left the basis"):
+        ctx.generator(0).lmul_gen(0)
 
 
 def test_star(ctx22_sym):
@@ -132,8 +221,8 @@ def test_star_recursion_matches_the_word_definition(make_ctx):
     # word of w applied to L^c as left actions, first letter first
     ctx = make_ctx()
     for idx in ctx.basis_indices():
-        c, w = idx
-        want = {(c, tuple(range(1, ctx.params.n + 1))): ctx.ring.one()}
+        c, w = ctx.index_label(idx)
+        want = {ctx.position((c, tuple(range(1, ctx.params.n + 1)))): ctx.ring.one()}
         for tok in coxeter_word(w):
             want = _terms_lmul(ctx, tok, want)
         assert _star_index(ctx, idx) == want, idx
@@ -144,7 +233,7 @@ def test_star_recursion_matches_the_word_definition(make_ctx):
 def _seminormal_rho(sd, shape, idx):
     """rho_lambda(L^c T_w) = diag(prod_m c_m(t)^{c_m}) rho_lambda(T_w)."""
     ring = sd.ctx.ring
-    c, w = idx
+    c, w = sd.ctx.index_label(idx)
     diag = []
     for cv in sd.shape_contents(shape):
         d = ring.one()
@@ -444,9 +533,9 @@ def test_specialized_relations_2_4():
 
 def test_cyclotomic_degree_drop_r3():
     ctx = laurent_context(3, 2)
-    idx = ((2, 0), (1, 2))
+    idx = ctx.position(((2, 0), (1, 2)))
     out = ctx.from_index(idx).rmul_gen(0)    # L_1^2 T_w times T_0
-    assert all(c[0] < 3 for c, _w in out.terms)
+    assert all(c[0] < 3 for c, _w in map(ctx.index_label, out.terms))
 
 
 def test_xi_one_context_constructible():
