@@ -319,9 +319,15 @@ def criterion_center_dims(level="full"):
 def criterion_class_polynomials(level="full"):
     from .center import ClassPolynomials
     checks = []
-    for tag, r, n, xi, qs in [
-            ("(2,2)", 2, 2, 2, (1, 100)), ("(1,3)", 1, 3, 2, (1,)),
-            ("(2,2) non-semisimple xi=-1 Q=(1,-1)", 2, 2, -1, (1, -1))]:
+    points = [("(2,2)", 2, 2, 2, (1, 100)), ("(1,3)", 1, 3, 2, (1,)),
+              ("(2,2) non-semisimple xi=-1 Q=(1,-1)", 2, 2, -1, (1, -1)),
+              ("(2,2) xi=2/3 Q=(1/2,5)", 2, 2, Fraction(2, 3),
+               (Fraction(1, 2), 5))]
+    if level == "full":
+        points += [("(2,4)", 2, 4, 2, (1, 100)),
+                   ("(2,4) non-semisimple xi=-1 Q=(1,-1)", 2, 4, -1, (1, -1)),
+                   ("(3,3)", 3, 3, 2, (1, 100, 10000))]
+    for tag, r, n, xi, qs in points:
         ctx = _spec_ctx(r, n, Fraction(xi), [Fraction(q) for q in qs])
         polys = ClassPolynomials(ctx)
         fs = {w: polys.f_polys(w, check_residual=False)

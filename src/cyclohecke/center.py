@@ -17,14 +17,20 @@ T_{w_C} form a basis of the cocenter H/[H, H] at every parameter point; the
 class polynomials f_{w,C} are the coordinates of T_w in it.  They are
 computed by reduction modulo [H, H]: the remainders of the T_{w_C} fill the
 #classes free columns of its echelon basis, that square system is factored
-once (its row operations are recorded and replayed on each right-hand side),
-and the f row of w is the solve on the remainder of T_w, certified by a
-membership check of the residual in [H, H].  No characters and no
-semisimplicity are needed; the character matrix is the acceptance gate's
-oracle.  The duals g_{w,C} = f_{w^{-1}, beta_hat(C)} are read off the f row
-of w^{-1}.  The class polynomials do not depend on which minimal-length
-representative is chosen exactly when T_w - T_{w_C} lies in [H, H] for
-every minimal-length w of every class C;
+once, and the f row of w is the solve on the remainder of T_w, certified by
+a membership check of the residual in [H, H].  Over Q the factorization is
+solved once per unit right-hand side, and its inverse is kept as int
+columns over one common denominator D: a remainder cleared to ints with
+the lcm s of its denominators gives the f row as int sums of those
+columns, one Fraction over D s per class, and the residual is checked as
+an int vector, m times T_w - sum_C f_C T_{w_C} for a common multiple m.
+Over the other fields the factorization's recorded row operations are
+replayed on each remainder and the residual is a HeckeElement difference.
+No characters and no semisimplicity are needed; the character matrix is
+the acceptance gate's oracle.  The duals g_{w,C} = f_{w^{-1}, beta_hat(C)}
+are read off the f row of w^{-1}.  The class polynomials do not depend on
+which minimal-length representative is chosen exactly when T_w - T_{w_C}
+lies in [H, H] for every minimal-length w of every class C;
 ``representative_dependence_report`` checks that by membership alone.
 
 The center bases of Chavli-Pfeiffer type follow.  y_C = sum_w f_{w,C}
@@ -43,6 +49,9 @@ z_C = sum_w g_{w,C} (T_{w^{-1}})^vee is y_{beta_hat(C)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .group import (
     GroupElement,
@@ -60,6 +69,7 @@ from .hecke import (
     t_element,
 )
 from .linalg import Elimination, SubspaceBasis, nullspace, span
+from .rings import RATIONAL_KINDS
 from .tableaux import enumerate_multipartitions
 
 
@@ -198,8 +208,10 @@ class ClassPolynomials:
         return self._commutators
 
     def _elimination(self):
-        """The remainders of the T_{w_C} modulo [H, H], factored once; a
-        singular system contradicts the cocenter theorem: ArithmeticError."""
+        """The remainders of the T_{w_C} modulo [H, H], factored once.  The
+        cocenter theorem makes the system square and nonsingular, so more
+        remainder columns than classes, or a singular system, can only come
+        from a wrong [H, H]: ArithmeticError."""
         if self._elim is None:
             comm = self.commutator_basis()
             zero = self.ctx.ring.zero()
@@ -207,33 +219,102 @@ class ClassPolynomials:
                     for label, elt in self._rep_elements.items()}
             self._columns = list(dict.fromkeys(
                 c for vec in reps.values() for c in vec))
+            if len(self._columns) > len(reps):
+                raise ArithmeticError(
+                    f"{len(self._columns)} remainder columns modulo [H, H] "
+                    f"for {len(reps)} classes")
             self._elim = Elimination(self.ctx.ring, [
                 {label: vec.get(col, zero) for label, vec in reps.items()}
                 for col in self._columns])
         return self._elim
 
+    @cached_property
+    def _integer_inverse(self):
+        """Over Q, the inverse of the factored system as (D, {remainder
+        column: its inverse column as ints over the classes}), D the common
+        denominator: one solve per unit right-hand side."""
+        elim = self._elimination()
+        zero, one = self.ctx.ring.zero(), self.ctx.ring.one()
+        size = len(self._columns)
+        sols = [elim.solve([one if j == i else zero for j in range(size)])
+                for i in range(size)]
+        denom = lcm(*(v.denominator for sol in sols for v in sol.values()))
+        return denom, {
+            col: tuple(sol[info.label].numerator *
+                       (denom // sol[info.label].denominator)
+                       for info in self.classes)
+            for col, sol in zip(self._columns, sols)}
+
+    @cached_property
+    def _integer_reps(self):
+        """Over Q, (d, {label: int terms}) with T_{w_C} = terms / d."""
+        denom = lcm(*(v.denominator for elt in self._rep_elements.values()
+                      for v in elt.terms.values()))
+        return denom, {
+            label: {idx: v.numerator * (denom // v.denominator)
+                    for idx, v in elt.terms.items()}
+            for label, elt in self._rep_elements.items()}
+
     # -- f and g -------------------------------------------------------------
 
     def _coefficients(self, elt, check_residual):
+        """The f row of elt.  Over Q the remainder rem is cleared to ints
+        with the lcm s of its denominators, and the row is sum_col rem[col] *
+        (inverse column of col) / (D s) in int arithmetic; elsewhere the
+        recorded factorization is replayed on the remainder."""
         elim = self._elimination()
         rem = self.commutator_basis().reduce(elt.terms)
-        zero = self.ctx.ring.zero()
-        rhs = [rem.pop(col, zero) for col in self._columns]
-        if rem:
-            raise ArithmeticError(
-                "remainder modulo [H, H] outside the representatives' columns")
-        sol = elim.solve(rhs)
-        coeffs = {info.label: sol[info.label] for info in self.classes}
+        if self.ctx.ring.kind in RATIONAL_KINDS:
+            denom, inverse = self._integer_inverse
+            scale = lcm(*(v.denominator for v in rem.values()))
+            num = [0] * len(self.classes)
+            for col, v in rem.items():
+                column = inverse.get(col)
+                if column is None:
+                    raise ArithmeticError("remainder modulo [H, H] outside "
+                                          "the representatives' columns")
+                a = v.numerator * (scale // v.denominator)
+                num = [x + a * y for x, y in zip(num, column)]
+            denom *= scale
+            coeffs = {info.label: Fraction(x, denom)
+                      for info, x in zip(self.classes, num)}
+        else:
+            zero = self.ctx.ring.zero()
+            rhs = [rem.pop(col, zero) for col in self._columns]
+            if rem:
+                raise ArithmeticError("remainder modulo [H, H] outside "
+                                      "the representatives' columns")
+            sol = elim.solve(rhs)
+            coeffs = {info.label: sol[info.label] for info in self.classes}
         if check_residual and not self.residual_in_commutators(elt, coeffs):
             raise AssertionError("class-polynomial residual escaped [H, H]")
         return coeffs
 
     def residual_in_commutators(self, elt, coeffs):
-        """elt - sum_C coeffs[C] T_{w_C} lies in [H, H]."""
-        residual = elt - _combination(
-            self.ctx, ((self._rep_elements[info.label], coeffs[info.label])
-                       for info in self.classes))
-        return self.commutator_basis().contains(residual.terms)
+        """elt - sum_C coeffs[C] T_{w_C} lies in [H, H].  Over Q the test
+        is on m times the residual, an int vector for a common multiple m
+        of every denominator, which lies in [H, H] exactly when the residual
+        does."""
+        comm = self.commutator_basis()
+        if self.ctx.ring.kind not in RATIONAL_KINDS:
+            residual = elt - _combination(
+                self.ctx, ((self._rep_elements[info.label], coeffs[info.label])
+                           for info in self.classes))
+            return comm.contains(residual.terms)
+        rep_denom, reps = self._integer_reps
+        coeff_denom = lcm(*(coeffs[label].denominator for label in reps))
+        mult = lcm(*(v.denominator for v in elt.terms.values()),
+                   coeff_denom * rep_denom)
+        vec = {idx: v.numerator * (mult // v.denominator)
+               for idx, v in elt.terms.items()}
+        scale = mult // (coeff_denom * rep_denom)
+        for label, terms in reps.items():
+            c = coeffs[label]
+            num = c.numerator * (coeff_denom // c.denominator) * scale
+            if num:
+                for idx, v in terms.items():
+                    vec[idx] = vec.get(idx, 0) - num * v
+        return comm.contains(vec)
 
     def f_polys(self, w, check_residual=True):
         """Coefficients f with T_w = sum_C f_{w,C} T_{w_C} modulo [H, H]."""

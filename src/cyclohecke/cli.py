@@ -64,9 +64,9 @@ def build_ring(args, r):
         return ring, ring.xi(), [ring.q(l) for l in range(1, r + 1)]
     if not spec_arg:
         raise UsageError("this ring needs --spec \"xi=V,Q=V1,..,Vr\"")
-    fields = dict(
-        item.split("=", 1) for item in spec_arg.replace(" ", "").split(",", 1)
-    )
+    items = [item.split("=", 1)
+             for item in spec_arg.replace(" ", "").split(",", 1)]
+    fields = dict(items) if all(len(item) == 2 for item in items) else {}
     if "xi" not in fields or "Q" not in fields:
         raise UsageError("--spec must look like \"xi=V,Q=V1,..,Vr\"")
     xi = _parse_spec_value(ring, fields["xi"])
@@ -364,7 +364,7 @@ def cmd_klr_blocks(args):
 
 def cmd_selftest(args):
     from .acceptance import run_acceptance
-    only = args.criteria.split(",") if args.criteria else None
+    only = None if args.criteria is None else args.criteria.split(",")
     results = run_acceptance(args.level, only)
     checks = []
     result = {"level": args.level, "criteria": {}}

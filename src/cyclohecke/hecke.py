@@ -56,8 +56,9 @@ signed $e_j(Q)$.  Over $\mathbb{Q}$ an integral constant is a Python
 are built in integer arithmetic; an element's coefficients stay
 ``Fraction``s, because every use of a table multiplies it by one.
 
-The left action of $\mathcal{L}_m$ is in the same table, as token $-m$:
-the $\mathcal{L}_k$ commute, so $\mathcal{L}_m \mathcal{L}^c T_w =
+The left action of $\mathcal{L}_m$, $m \ge 2$, is in the same table, as
+token $-m$ (the token $-1$ reads the $T_0$ entries, since $\mathcal{L}_1 =
+T_0$): the $\mathcal{L}_k$ commute, so $\mathcal{L}_m \mathcal{L}^c T_w =
 \mathcal{L}^{c + e_m} T_w$ while $c_m + 1 < r$, and only at $c_m = r - 1$
 (always when $r = 1$) is it the palindromic word, $2m - 1$ generator
 actions.  A product walks each term $\mathcal{L}^c T_w$ of the left factor
@@ -370,7 +371,10 @@ def _rmul_gen_index(ctx, idx, token):
 
 def _lmul_gen_index(ctx, token, idx):
     """T_token * (L^c T_w) for a generator token 0 .. n-1, and L_m *
-    (L^c T_w) for the token -m, as ((position, coeff), ..)."""
+    (L^c T_w) for the token -m, as ((position, coeff), ..).  L_1 = T_0, so
+    the token -1 reads the token-0 entries."""
+    if token == -1:
+        token = 0
     table = _table(ctx._lmul, token)
     cached = table.get(idx)
     if cached is None:
@@ -397,6 +401,8 @@ def _rmul_gen(ctx, elt, token):
 
 
 def _terms_lmul(ctx, token, terms):
+    if token == -1:      # L_1 = T_0
+        token = 0
     table = _table(ctx._lmul, token)
     out = {}
     for idx, coeff in terms.items():

@@ -40,7 +40,11 @@ echelon build so that a right-hand side costs only a replay, and ``solve``
 and ``invert_matrix`` are replays of an ``Elimination``.  ``Elimination``
 keeps field rows over every ring: its recorded multipliers are replayed on
 ``Fraction`` right-hand sides, and integer rows would record more operations
-for the replay to run.
+for the replay to run.  It still serves the class-polynomial rows over the
+cyclotomic and function fields, the acceptance gate's oracles (the
+character-matrix solve among them) and ``center_bases_yz``; over Q the
+class-polynomial rows replay it only once per unit right-hand side, to
+build an integer inverse.
 """
 
 from __future__ import annotations

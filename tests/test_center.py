@@ -307,6 +307,63 @@ def test_class_polynomials_refuse_a_remainder_outside_the_representatives():
             polys.f_polys(w, check_residual=False)
 
 
+def test_class_polynomials_refuse_more_remainder_columns_than_classes():
+    # against the zero subspace the (3,2) representatives leave 12 columns
+    # for 9 classes: a system the cocenter theorem rules out
+    ctx = spec_context(3, 2)
+    polys = ClassPolynomials(ctx)
+    polys._commutators = SubspaceBasis(ctx.ring)
+    with pytest.raises(ArithmeticError, match="12 remainder columns .* 9 classes"):
+        polys.f_polys(polys.classes[0].rep, check_residual=False)
+
+
+@pytest.mark.parametrize("r,n,xi,qs", [
+    (2, 3, 2, (1, 100)),
+    (3, 2, 2, (1, 100, 10000)),
+    (2, 3, Fraction(2, 3), (Fraction(1, 2), 5)),
+    (3, 2, Fraction(-1, 3), (Fraction(1, 7), 2, Fraction(3, 5))),
+    (2, 3, -1, (1, -1)),
+    (2, 2, 1, (1, 1)),
+], ids=["2-3", "3-2", "2-3-fractional", "3-2-fractional", "2-3-xi-1", "2-2-xi1"])
+def test_integer_rows_equal_the_replayed_solve(r, n, xi, qs):
+    # the reference is the recorded factorization replayed on the Fraction
+    # remainder, the route the rows took before they became integer sums
+    ctx = spec_context(r, n, Fraction(xi), [Fraction(q) for q in qs])
+    polys = ClassPolynomials(ctx)
+    elim = polys._elimination()
+    zero = ctx.ring.zero()
+    for w in enumerate_group(ctx.params):
+        rem = polys.commutator_basis().reduce(t_element(ctx, w).terms)
+        assert set(rem) <= set(polys._columns)
+        want = elim.solve([rem.get(col, zero) for col in polys._columns])
+        got = polys.f_polys(w)
+        assert list(got) == [info.label for info in polys.classes]
+        assert got == want
+        assert all(type(v) is Fraction for v in got.values())
+
+
+@pytest.mark.parametrize("xi,qs", [
+    (2, (1, 100)), (Fraction(2, 3), (Fraction(1, 2), 5))],
+    ids=["integral", "fractional"])
+def test_residual_check_accepts_commutators_and_refuses_a_raised_coefficient(
+        xi, qs):
+    # h / 7 lies in [H, H] with a denominator that neither f nor the
+    # representatives carry, so the common multiple must cover it
+    ctx = spec_context(2, 3, Fraction(xi), [Fraction(q) for q in qs])
+    polys = ClassPolynomials(ctx)
+    h = HeckeElement(ctx, {idx: v / 7 for idx, v in
+                           polys.commutator_basis().vectors()[-1].items()})
+    for w in enumerate_group(ctx.params):
+        elt = t_element(ctx, w)
+        f = polys.f_polys(w, check_residual=False)
+        assert polys.residual_in_commutators(elt, f)
+        assert polys.residual_in_commutators(elt + h, f)
+        for label in f:
+            raised = dict(f)
+            raised[label] += 1
+            assert not polys.residual_in_commutators(elt, raised), (w, label)
+
+
 @pytest.mark.parametrize("r,n,xi,qs", [
     (2, 2, 1, (1, 1)),
     (1, 3, -1, (1,)),

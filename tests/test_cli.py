@@ -222,6 +222,12 @@ def test_usage_errors_exit_2():
          "--y-word", "t s1", "--x", '[{"c":[0,1],"w":[1,2],"coeff":"(1)/(0)"}]'])
     assert code == 2 and not out
     assert "zero denominator" in err and "internal inconsistency" not in err
+    # a spec item without "=" gets the usage message
+    for spec in ("xi", "xi=2,Q"):
+        code, out, err = run_cli(["hecke", "center", "--r", "2", "--n", "2",
+                                  "--spec", spec])
+        assert code == 2 and not out
+        assert "--spec must look like" in err and "dictionary" not in err
     # the symbolic rings take no specialization
     for ring in ("laurent", "fraction"):
         code, out, err = run_cli(["hecke", "center", "--r", "1", "--n", "2",
@@ -265,7 +271,7 @@ def test_selftest_criteria_match_by_number():
     code, rep = run_json(["selftest", "--level", "quick", "--criteria", "5,7"])
     assert code == 0
     assert [name.split()[0] for name in rep["result"]["criteria"]] == ["5", "7"]
-    for bad in ("99", "o", "x", "5,99"):
+    for bad in ("99", "o", "x", "5,99", ""):
         code, out, err = run_cli(["selftest", "--level", "quick",
                                   "--criteria", bad])
         assert code == 2 and not out, bad
@@ -311,7 +317,7 @@ RECORDED_DIGESTS = [
       "--spec", "xi=-1,Q=1,-1"],
      "2bf01f7f6b47536ee454eacf213932f6fb822b16f37f8788376a4ad2ad39e37f"),
     (["selftest", "--level", "quick"],
-     "5e2ec2e5743a9b227fe779d8110e680d03ba5a66294886c10001dfdd16f56db4"),
+     "f3dde59ef9c39c7aa4d3511ddcf7fc69d4e6cdd9ea8a1e615b58bcbc96072506"),
 ]
 
 

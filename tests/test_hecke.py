@@ -305,6 +305,19 @@ def test_jm_exponent_rule_matches_the_palindromic_word(r, n, ring):
             assert _terms_lmul(ctx, -m, x.terms) == want.scale(scale).terms, (idx, m)
 
 
+def test_l1_reads_the_t0_table():
+    # L_1 = T_0: products that raise c_1 read the token-0 entries and build
+    # no token -1 table, while L_2 keeps its own
+    ctx = spec_context(2, 3)
+    rng = random.Random(5)
+    idxs = list(ctx.basis_indices())
+    for _ in range(30):
+        ctx.from_index(rng.choice(idxs)) * ctx.from_index(rng.choice(idxs))
+    assert ctx.jm(1) == ctx.generator(0)
+    assert -1 not in ctx._lmul
+    assert ctx._lmul[0] and ctx._lmul[-2]
+
+
 @pytest.mark.parametrize("make_ctx", [
     lambda: spec_context(2, 3),
     lambda: spec_context(1, 4),
