@@ -66,6 +66,7 @@ from .hecke import (
     _bump,
     _lmul_gen_index,
     _rmul_gen_index,
+    memo,
     t_element,
 )
 from .linalg import Elimination, SubspaceBasis, nullspace, span
@@ -181,26 +182,24 @@ class ClassPolynomials:
         # inverts into C, so that b_{w_C}^vee = T_{w_{beta_hat(C)}}
         self._beta_hat = {conjugacy_invariant(info.rep.inverse()): info.label
                           for info in self.classes}
-        self._matrix_rows = None
         self._elim = None
         self._columns = None
         self._commutators = None
 
+    @memo
     def character_matrix(self):
         """Rows: shapes; columns: class labels; entries chi_lambda(T_{w_C})."""
-        if self._matrix_rows is None:
-            if self.snd is None:
-                from .seminormal import SeminormalData
-                self.snd = SeminormalData(self.ctx)
-            self._matrix_rows = [
-                {
-                    info.label: self.snd.character(
-                        shape, self._rep_elements[info.label])
-                    for info in self.classes
-                }
-                for shape in self.snd.shapes
-            ]
-        return self._matrix_rows
+        if self.snd is None:
+            from .seminormal import SeminormalData
+            self.snd = SeminormalData(self.ctx)
+        return [
+            {
+                info.label: self.snd.character(
+                    shape, self._rep_elements[info.label])
+                for info in self.classes
+            }
+            for shape in self.snd.shapes
+        ]
 
     def commutator_basis(self):
         if self._commutators is None:

@@ -75,7 +75,7 @@ so the collection is again a basis.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .group import (
     GroupParams,
@@ -90,6 +90,24 @@ from .rings import RATIONAL_KINDS, elementary_symmetric, invert_unit
 
 class HeckeError(ValueError):
     pass
+
+
+def memo(method):
+    """Memoise a method per instance, keyed by its positional arguments.  The
+    table lives in the instance's ``__dict__``, so it is freed with the
+    instance; ``functools.cache`` would keep every instance alive."""
+    slot = f"_memo_{method.__qualname__}"
+
+    @wraps(method)
+    def cached(self, *args):
+        try:
+            return self.__dict__[slot][args]
+        except KeyError:
+            pass
+        value = self.__dict__.setdefault(slot, {})[args] = method(self, *args)
+        return value
+
+    return cached
 
 
 class AlgebraContext:

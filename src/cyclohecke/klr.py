@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .hecke import jm_polynomial
+from .hecke import jm_polynomial, memo
 from .linalg import SubspaceBasis
 from .rings import poly_bezout, poly_divmod, poly_mul
 from .tableaux import enumerate_multipartitions, residue_sequence, standard_tableaux
@@ -195,6 +195,7 @@ class KLRBlocks:
     def _block(self, label):
         return self.blocks.get(tuple(sorted(label)), [])
 
+    @memo
     def block_idempotent(self, label):
         elt = self.ctx.zero()
         for i in self._block(label):

@@ -17,7 +17,8 @@ its denominators and reduced by the cross-multiplied update
 no ``Fraction``; ``add`` divides each new and back-substituted row by its
 content.  Over the other fields a stored row is scaled to 1 at its pivot
 and the update is ``v -= v[p] row``.  Either way ``rows`` shows rows that are
-1 at their pivot, and ``reduce`` returns the exact remainder.
+1 at their pivot, over Q divided out of the integer rows on each access with
+no second copy kept, and ``reduce`` returns the exact remainder.
 
 The pivot of a new row is one of its columns.  Over the function fields
 it is an entry with the fewest terms, which limits expression swell.  Over
@@ -67,7 +68,6 @@ class SubspaceBasis:
         self.ring = ring
         self._integral = ring.kind in RATIONAL_KINDS
         self._rows = {}       # pivot column -> stored row, 0 at other pivots
-        self._fractions = None
         self._counts = counts  # column -> how many input vectors carry it
 
     @classmethod
@@ -94,15 +94,11 @@ class SubspaceBasis:
     @property
     def rows(self):
         """{pivot column: row}, each row 1 at its pivot and 0 at every other
-        pivot.  Over Q this is built from the integer rows on first use after
-        an ``add``."""
+        pivot.  Over Q this is read off the integer rows on each access."""
         if not self._integral:
             return self._rows
-        if self._fractions is None:
-            self._fractions = {
-                pivot: {c: Fraction(v, row[pivot]) for c, v in row.items()}
+        return {pivot: {c: Fraction(v, row[pivot]) for c, v in row.items()}
                 for pivot, row in self._rows.items()}
-        return self._fractions
 
     def _record(self, target, source, coeff):
         """Hook called on every row operation of ``add`` over field rows.
@@ -186,7 +182,6 @@ class SubspaceBasis:
             if self._integral:
                 rows[col] = self._normalise(row2, col)
         rows[pivot] = row
-        self._fractions = None
         return True
 
     def _pivot(self, rem):

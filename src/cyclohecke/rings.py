@@ -710,13 +710,9 @@ class LaurentFrac:
 # ring descriptors
 # ---------------------------------------------------------------------------
 
-_VAR_NAMES_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _var_names(nq):
-    if nq not in _VAR_NAMES_CACHE:
-        _VAR_NAMES_CACHE[nq] = ("xi",) + tuple(f"Q{l}" for l in range(1, nq + 1))
-    return _VAR_NAMES_CACHE[nq]
+    return ("xi",) + tuple(f"Q{l}" for l in range(1, nq + 1))
 
 
 class RingSpec:

@@ -38,6 +38,8 @@ explicit symmetric polynomial in the Jucys-Murphy elements: for each other
 shape mu an elementary symmetric function value separates the multisets of
 contents, and the normalized product of the separators evaluated at
 (L_1, .., L_n) reproduces F_lambda exactly.
+
+``SeminormalData`` builds each of these objects once, memoised per argument.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .hecke import (
     elementary_symmetric_jm,
     jm_polynomial,
     m_basis,
+    memo,
 )
 from .rings import elementary_symmetric, poly_mul
 from .group import coxeter_word
@@ -214,15 +217,6 @@ class SeminormalData:
         self.std = {shape: standard_tableaux(shape) for shape in self.shapes}
         self.content_sets = content_sets(ctx.params.r, ctx.params.n,
                                          ctx.xi, ctx.qs)
-        self._ft = {}
-        self._f = {}
-        self._gamma = {}
-        self._flam = {}
-        self._schur = {}
-        self._shape_contents = {}
-        self._rho = {}
-        self._word_rho = {}
-        self._basis_char = {}
 
     # -- raw combinatorial data ------------------------------------------
 
@@ -231,11 +225,8 @@ class SeminormalData:
 
     # -- idempotents -------------------------------------------------------
 
+    @memo
     def F(self, t):
-        key = (t.shape, t.rows)
-        cached = self._ft.get(key)
-        if cached is not None:
-            return cached
         ctx, ring = self.ctx, self.ctx.ring
         cv = self.contents(t)
         out = ctx.one()
@@ -250,27 +241,20 @@ class SeminormalData:
                 inv = ring.invert(denom)
                 factor = poly_mul(ring, factor, [-c * inv, inv])
             out = jm_polynomial(ctx, k, factor, out)
-        self._ft[key] = out
         return out
 
+    @memo
     def F_lambda(self, shape):
-        cached = self._flam.get(shape)
-        if cached is None:
-            cached = self.ctx.zero()
-            for t in self.std[shape]:
-                cached = cached + self.F(t)
-            self._flam[shape] = cached
-        return cached
+        out = self.ctx.zero()
+        for t in self.std[shape]:
+            out = out + self.F(t)
+        return out
 
     # -- seminormal bases ----------------------------------------------------
 
+    @memo
     def f(self, s, t):
-        key = (s.shape, s.rows, t.rows)
-        cached = self._f.get(key)
-        if cached is None:
-            cached = self.F(s) * m_basis(self.ctx, s, t) * self.F(t)
-            self._f[key] = cached
-        return cached
+        return self.F(s) * m_basis(self.ctx, s, t) * self.F(t)
 
     def _diag_scalar(self, elt, squared):
         """The scalar gamma with squared == gamma * elt."""
@@ -283,93 +267,74 @@ class SeminormalData:
             raise NotSemisimpleError("diagonal element is not quasi-idempotent")
         return gamma
 
+    @memo
     def gamma(self, t):
-        key = (t.shape, t.rows)
-        cached = self._gamma.get(key)
-        if cached is None:
-            ftt = self.f(t, t)
-            cached = self._diag_scalar(ftt, ftt * ftt)
-            if self.ctx.ring.is_zero(cached):
-                raise NotSemisimpleError("gamma_t vanished")
-            self._gamma[key] = cached
-        return cached
+        ftt = self.f(t, t)
+        gamma = self._diag_scalar(ftt, ftt * ftt)
+        if self.ctx.ring.is_zero(gamma):
+            raise NotSemisimpleError("gamma_t vanished")
+        return gamma
 
     # -- the seminormal matrix representation ---------------------------------
 
+    @memo
     def shape_contents(self, shape):
         """Content vectors of the standard tableaux of shape, in std order."""
-        cached = self._shape_contents.get(shape)
-        if cached is None:
-            cached = [self.contents(t) for t in self.std[shape]]
-            self._shape_contents[shape] = cached
-        return cached
+        return [self.contents(t) for t in self.std[shape]]
 
+    @memo
     def generator_matrices(self, shape):
         """rho_lambda(T_0), .., rho_lambda(T_{n-1}); the defining relations
         are checked on them when they are built."""
-        gens = self._rho.get(shape)
-        if gens is None:
-            contents = self.shape_contents(shape)
-            gens = seminormal_matrices(self.ctx, self.std[shape], contents)
-            failed = relation_witness(self.ctx, gens, contents)
-            if failed is not None:
-                raise AssertionError(
-                    f"seminormal matrices of {shape} break the relation {failed}")
-            self._rho[shape] = gens
+        contents = self.shape_contents(shape)
+        gens = seminormal_matrices(self.ctx, self.std[shape], contents)
+        failed = relation_witness(self.ctx, gens, contents)
+        if failed is not None:
+            raise AssertionError(
+                f"seminormal matrices of {shape} break the relation {failed}")
         return gens
 
+    @memo
     def _word_matrix(self, shape, word):
         """rho_lambda of the generator word, memoised with its prefixes."""
-        key = (shape, word)
-        cached = self._word_rho.get(key)
-        if cached is None:
-            ring = self.ctx.ring
-            if word:
-                cached = _mat_mul(ring, self._word_matrix(shape, word[:-1]),
-                                  self.generator_matrices(shape)[word[-1]])
-            else:
-                cached = _mat_diag(ring, [ring.one()] * len(self.std[shape]))
-            self._word_rho[key] = cached
-        return cached
+        ring = self.ctx.ring
+        if not word:
+            return _mat_diag(ring, [ring.one()] * len(self.std[shape]))
+        return _mat_mul(ring, self._word_matrix(shape, word[:-1]),
+                        self.generator_matrices(shape)[word[-1]])
 
+    @memo
     def _basis_character(self, shape, idx):
         """chi_lambda(L^c T_w) for the basis element at position idx."""
-        key = (shape, idx)
-        cached = self._basis_char.get(key)
-        if cached is None:
-            ring = self.ctx.ring
-            c, w = self.ctx.index_label(idx)
-            rho = self._word_matrix(shape, coxeter_word(w))
-            cached = ring.zero()
-            for k, cv in enumerate(self.shape_contents(shape)):
-                term = rho[k].get(k)
-                if term is None:
-                    continue
-                for cm, content in zip(c, cv):
-                    for _ in range(cm):
-                        term = term * content
-                cached = cached + term
-            self._basis_char[key] = cached
-        return cached
+        ring = self.ctx.ring
+        c, w = self.ctx.index_label(idx)
+        rho = self._word_matrix(shape, coxeter_word(w))
+        total = ring.zero()
+        for k, cv in enumerate(self.shape_contents(shape)):
+            term = rho[k].get(k)
+            if term is None:
+                continue
+            for cm, content in zip(c, cv):
+                for _ in range(cm):
+                    term = term * content
+            total = total + term
+        return total
 
     # -- Schur elements and characters ---------------------------------------
 
+    @memo
     def schur(self, shape):
-        cached = self._schur.get(shape)
-        if cached is None:
-            ring = self.ctx.ring
-            values = []
-            for t in self.std[shape]:
-                tf = self.F(t).tau()
-                if ring.is_zero(tf):
-                    raise NotSemisimpleError("tau(F_t) vanished")
-                values.append(ring.div(ring.one(), tf))
-            first = values[0]
-            if any(not (v == first) for v in values[1:]):
-                raise NotSemisimpleError("Schur element depends on the tableau")
-            cached = first
-            self._schur[shape] = cached
-        return cached
+        ring = self.ctx.ring
+        values = []
+        for t in self.std[shape]:
+            tf = self.F(t).tau()
+            if ring.is_zero(tf):
+                raise NotSemisimpleError("tau(F_t) vanished")
+            values.append(ring.div(ring.one(), tf))
+        first = values[0]
+        if any(not (v == first) for v in values[1:]):
+            raise NotSemisimpleError("Schur element depends on the tableau")
+        return first
 
     def character(self, shape, h):
         """chi_lambda(h), linear in the Ariki-Koike coordinates of h:
@@ -412,20 +377,19 @@ class SeminormalData:
         raise NotSemisimpleError(
             "no separating elementary symmetric exponent; inconsistent data")
 
+    @memo
+    def _esym(self, m):
+        return elementary_symmetric_jm(self.ctx, m)
+
     def central_idempotent_via_symmetric(self, lam):
         """g_lambda(L_1, .., L_n): equals F_lambda as an algebra element."""
         ctx = self.ctx
         out = ctx.one()
-        esym_cache = {}
         for mu in self.shapes:
             if mu == lam:
                 continue
             m, a, b = self.separating_exponent(lam, mu)
-            em = esym_cache.get(m)
-            if em is None:
-                em = elementary_symmetric_jm(ctx, m)
-                esym_cache[m] = em
-            out = out * (em - ctx.one().scale(b))
+            out = out * (self._esym(m) - ctx.one().scale(b))
             out = out.scale(ctx.ring.invert(a - b))
         return out
 

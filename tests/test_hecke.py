@@ -28,6 +28,7 @@ from cyclohecke.hecke import (
     jm_polynomial,
     m_basis,
     m_tt,
+    memo,
     t_element,
     t_perm,
     word_product,
@@ -574,3 +575,22 @@ def test_dropped_context_is_freed_without_gc(r, n):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_memo_computes_once_per_argument_tuple():
+    class Squares:
+        def __init__(self):
+            self.computed = []
+
+        @memo
+        def square(self, x, shift):
+            self.computed.append((x, shift))
+            return [x * x + shift]
+
+    a, b = Squares(), Squares()
+    assert a.square(3, 0) is a.square(3, 0)
+    assert a.square(3, 1) == [10] and a.square(-3, 0) == [9]
+    assert a.square(3, 1) == [10]
+    assert a.computed == [(3, 0), (3, 1), (-3, 0)]
+    # each instance has its own table
+    assert b.square(3, 0) == [9] and b.computed == [(3, 0)]

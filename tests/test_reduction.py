@@ -297,3 +297,30 @@ def test_peel_raises_when_a_move_makes_no_progress(monkeypatch):
     with pytest.raises(InternalInconsistencyError, match="stopped lowering"):
         reduce_to_minimal(w)
     assert calls == [0]
+
+
+@pytest.mark.parametrize("name,fault,detail", [
+    # a block swap that records none of its moves
+    ("_conjugation_path", lambda real: lambda src, dst, tokens: [],
+     "terminal element mismatch"),
+    # a strong-conjugation swap that records no witness
+    ("_strong_swap", lambda real: lambda cur, blocks, i, tail:
+     real(cur, blocks, i, []), "canonical element mismatch"),
+], ids=["moves", "tail"])
+def test_self_check_refuses_a_faulty_producer(monkeypatch, name, fault, detail):
+    """The producer stores the elements it ends on and leaves comparing them
+    with w_alpha and w_beta to the replay: a faulty producer is refused, and
+    every certificate it still returns is the fault-free one."""
+    elements = list(enumerate_group(GroupParams(3, 3)))
+    honest = {w: reduce_to_minimal(w, canonical=True) for w in elements}
+    monkeypatch.setattr(reduction, name, fault(getattr(reduction, name)))
+    refused = 0
+    for w in elements:
+        try:
+            cert = reduce_to_minimal(w, canonical=True)
+        except InternalInconsistencyError as exc:
+            assert str(exc) == f"certificate failed self-check: {detail}"
+            refused += 1
+        else:
+            assert cert == honest[w]
+    assert refused

@@ -1,9 +1,12 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from conftest import fraction_context, spec_context
 
+from cyclohecke import seminormal
 from cyclohecke.linalg import SubspaceBasis
 from cyclohecke.seminormal import (
     NotSemisimpleError,
@@ -208,3 +211,39 @@ def test_relation_check_rejects_altered_matrix(snd22):
     altered = [[dict(row) for row in m] for m in gens]
     altered[1][0][0] = altered[1][0][0] + ctx.ring.one()
     assert relation_witness(ctx, altered, contents) is not None
+
+
+def test_idempotents_are_built_once(monkeypatch):
+    snd = SeminormalData(spec_context(2, 2))
+    t = snd.std[snd.shapes[0]][0]
+    factors = []
+
+    def counted(ctx, k, poly, x):
+        factors.append(k)
+        return real(ctx, k, poly, x)
+
+    real = seminormal.jm_polynomial
+    monkeypatch.setattr(seminormal, "jm_polynomial", counted)
+    assert snd.F(t) is snd.F(t)
+    snd.f(t, t)
+    snd.gamma(t)
+    assert factors == [1, 2]
+
+
+def test_dropped_seminormal_data_frees_its_context_without_gc():
+    ctx = spec_context(2, 2)
+    snd = SeminormalData(ctx)
+    h = ctx.generator(1) * ctx.generator(0)
+    for shape in snd.shapes:
+        snd.schur(shape)
+        snd.character(shape, h)
+        for t in snd.std[shape]:
+            snd.gamma(t)
+    del h
+    refs = [weakref.ref(snd), weakref.ref(ctx)]
+    gc.disable()
+    try:
+        del snd, ctx
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
